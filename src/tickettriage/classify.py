@@ -9,7 +9,8 @@ yield identical parameters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +175,7 @@ def _holdout_split(labels: list[str]) -> tuple[list[int], list[int]]:
         idxs = by_class[lab]
         if len(idxs) >= 10:
             held.extend(idxs[::10])
-            train.extend(i for i in idxs if i not in set(idxs[::10]))
+            train.extend(i for k, i in enumerate(idxs) if k % 10)
         else:
             train.extend(idxs)
     return sorted(train), sorted(held)
@@ -188,8 +189,7 @@ def train_classifier(texts: list[str], labels: list[str], kind: str,
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise TrainingError("need at least 2 classes")
-    counts = {c: labels.count(c) for c in classes}
-    if min(counts.values()) < 5:
+    if min(Counter(labels).values()) < 5:
         raise TrainingError("need at least 5 examples per class")
 
     vec = TfidfVectorizer(max_features=max_features).fit(texts)

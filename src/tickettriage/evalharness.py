@@ -13,6 +13,7 @@ from .enrichment import enrich_multimodal
 from .imaging import (
     DetectionParams,
     Rect,
+    blurred_gray,
     detect_contour_boxes,
     detect_edge_boxes,
     detect_windows,
@@ -73,8 +74,10 @@ def evaluate_detection(scenes: Sequence[tuple[Raster, GroundTruth]],
         counts[0] += tp
         counts[1] += fp
         counts[2] += fn
+        blurred = blurred_gray(img, params)
         for name, fetch in (("contour", detect_contour_boxes), ("edge", detect_edge_boxes)):
-            rtp, rfp, rfn = match_boxes([b.rect for b in fetch(img, params)], gold)
+            rtp, rfp, rfn = match_boxes([b.rect for b in fetch(img, params, blurred=blurred)],
+                                        gold)
             raw_counts[name][0] += rtp
             raw_counts[name][1] += rfp
             raw_counts[name][2] += rfn

@@ -8,25 +8,25 @@ IoU, and finally categorized by application kind and OS theme.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import ndimage
 
 from .raster import (
-    BinaryRaster,
     GrayRaster,
     Raster,
-    binarize,
     gaussian_blur,
     otsu_threshold,
+    rgb_to_luma,
     to_grayscale,
 )
-
-
 from .errors import ParameterError
+
+log = logging.getLogger(__name__)
 
 APP_CATEGORIES = ("dialog", "console", "browser", "explorer", "other")
 OS_CATEGORIES = ("windows", "linux", "mac", "unknown")
@@ -113,46 +113,47 @@ class DetectionParams:
 # ---------------------------------------------------------------------------
 # contour detector
 
-def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Moore-neighbor boundary trace of the largest-context component mask."""
+# 8-neighborhood in clockwise order starting from west, as (dy, dx)
+_NEIGHBORS = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+
+
+def _trace_boundary(mask: np.ndarray) -> np.ndarray:
+    """Moore-neighbor boundary trace of a component mask, as (n, 2) (y, x) rows.
+
+    Starts at the topmost, then leftmost pixel. The walk runs on flat indices
+    into the mask padded by one blank pixel, so no step needs a bounds check.
+    """
+    stride = mask.shape[1] + 2
+    filled = np.pad(mask, 1).ravel().tolist()
+    steps = [dy * stride + dx for dy, dx in _NEIGHBORS]
     ys, xs = np.nonzero(mask)
-    start = (int(ys[0]), int(xs[0]))  # topmost, then leftmost
-    # 8-neighborhood in clockwise order starting from west
-    nbrs = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
-    h, w = mask.shape
-
-    def filled(p):
-        return 0 <= p[0] < h and 0 <= p[1] < w and mask[p]
-
+    start = (int(ys[0]) + 1) * stride + int(xs[0]) + 1
     boundary = [start]
     prev_dir = 0  # came from the west
     cur = start
     for _ in range(4 * mask.size):
-        found = False
         for k in range(8):
             d = (prev_dir + k) % 8
-            nxt = (cur[0] + nbrs[d][0], cur[1] + nbrs[d][1])
-            if filled(nxt):
-                boundary.append(nxt)
-                cur = nxt
+            if filled[cur + steps[d]]:
+                cur += steps[d]
+                boundary.append(cur)
                 prev_dir = (d + 5) % 8  # backtrack: restart search after the pixel we came from
-                found = True
                 break
-        if not found:  # isolated pixel
+        else:  # isolated pixel
             break
         if cur == start and len(boundary) > 2:
             break
-    return boundary
+    flat = np.array(boundary)
+    return np.stack([flat // stride - 1, flat % stride - 1], axis=1)
 
 
-def _rdp(points: list[tuple[int, int]], eps: float) -> list[tuple[int, int]]:
-    """Ramer-Douglas-Peucker simplification of an open polyline."""
-    if len(points) < 3:
-        return list(points)
-    p0 = np.array(points[0], dtype=np.float64)
-    p1 = np.array(points[-1], dtype=np.float64)
-    pts = np.array(points, dtype=np.float64)
-    seg = p1 - p0
+def _rdp_count(pts: np.ndarray, eps: float) -> int:
+    """Vertex count of the Ramer-Douglas-Peucker simplification of an open
+    polyline given as (n, 2) float rows."""
+    if len(pts) < 3:
+        return len(pts)
+    p0 = pts[0]
+    seg = pts[-1] - p0
     seg_len = np.hypot(*seg)
     if seg_len == 0:
         dists = np.hypot(*(pts - p0).T)
@@ -161,53 +162,58 @@ def _rdp(points: list[tuple[int, int]], eps: float) -> list[tuple[int, int]]:
         dists = np.abs(seg[0] * rel[:, 1] - seg[1] * rel[:, 0]) / seg_len
     idx = int(np.argmax(dists))
     if dists[idx] <= eps:
-        return [points[0], points[-1]]
-    left = _rdp(points[:idx + 1], eps)
-    right = _rdp(points[idx:], eps)
-    return left[:-1] + right
+        return 2
+    # the split point ends the left chain and starts the right one
+    return _rdp_count(pts[:idx + 1], eps) + _rdp_count(pts[idx:], eps) - 1
 
 
-def _polygon_corners(boundary: list[tuple[int, int]], eps: float) -> int:
+def _polygon_corners(boundary: np.ndarray, eps: float) -> int:
     """Vertex count of the RDP-approximated closed boundary."""
     if len(boundary) < 4:
         return len(boundary)
-    pts = boundary[:-1] if boundary[0] == boundary[-1] else list(boundary)
+    closed = (boundary[0] == boundary[-1]).all()
+    pts = (boundary[:-1] if closed else boundary).astype(np.float64)
     # split the closed curve at the point farthest from the start
-    anchor = np.array(pts[0], dtype=np.float64)
-    arr = np.array(pts, dtype=np.float64)
-    far = int(np.argmax(((arr - anchor) ** 2).sum(axis=1)))
+    far = int(np.argmax(((pts - pts[0]) ** 2).sum(axis=1)))
     if far == 0:
         return 1
-    chain_a = _rdp(pts[:far + 1], eps)
-    chain_b = _rdp(pts[far:] + [pts[0]], eps)
-    return len(chain_a) + len(chain_b) - 2  # shared endpoints counted once
+    chain_a = _rdp_count(pts[:far + 1], eps)
+    chain_b = _rdp_count(np.concatenate([pts[far:], pts[:1]]), eps)
+    return chain_a + chain_b - 2  # shared endpoints counted once
 
 
 _MIN_COMPONENT_AREA = 80
 _RECT_FILL_RATIO = 0.85
 
 
-def detect_contour_boxes(img: Raster, p: DetectionParams) -> list[CandidateBox]:
-    """Grayscale -> blur -> binarize -> component border tracing -> rectangle test."""
-    gray = gaussian_blur(to_grayscale(img), p.gaussian_sigma)
+def blurred_gray(img: Raster, p: DetectionParams) -> GrayRaster:
+    """The blurred grayscale both detectors start from."""
+    return gaussian_blur(to_grayscale(img), p.gaussian_sigma)
+
+
+def detect_contour_boxes(img: Raster, p: DetectionParams,
+                         blurred: Optional[GrayRaster] = None) -> list[CandidateBox]:
+    """Grayscale -> blur -> binarize -> component border tracing -> rectangle test.
+
+    `blurred` is blurred_gray(img, p) when the caller already has it.
+    """
+    gray = blurred if blurred is not None else blurred_gray(img, p)
     threshold = p.binarize_threshold if p.binarize_threshold is not None else otsu_threshold(gray)
-    binary = binarize(gray, threshold)
+    white = gray.array >= threshold  # the pixels binarize() sets to 255
 
     boxes: list[CandidateBox] = []
-    for polarity in (255, 0):
-        mask = binary.array == polarity
+    for mask in (white, ~white):
         labels, n = ndimage.label(mask)
         if n == 0:
             continue
         slices = ndimage.find_objects(labels)
         areas = np.bincount(labels.ravel())
-        for i, sl in enumerate(slices, start=1):
-            if sl is None:
-                continue
+        for i in (np.flatnonzero(areas[1:] >= _MIN_COMPONENT_AREA) + 1).tolist():
+            sl = slices[i - 1]
             h = sl[0].stop - sl[0].start
             w = sl[1].stop - sl[1].start
             area = int(areas[i])
-            if area < _MIN_COMPONENT_AREA or w < 8 or h < 8:
+            if w < 8 or h < 8:
                 continue
             if w * h >= 0.9 * img.width * img.height:
                 continue  # the desktop background, not a window
@@ -226,67 +232,79 @@ def detect_contour_boxes(img: Raster, p: DetectionParams) -> list[CandidateBox]:
 
 def canny_edges(gray: GrayRaster, sigma: float, low: float, high: float) -> np.ndarray:
     """Canny edge map: Sobel gradients, NMS, double-threshold hysteresis."""
-    g = gaussian_blur(gray, sigma).array.astype(np.float64)
-    gp = np.pad(g, 1, mode="edge")
+    return _canny_blurred(gaussian_blur(gray, sigma), low, high)
+
+
+_TAN_22_5 = math.tan(math.pi / 8)
+_TAN_67_5 = math.tan(3 * math.pi / 8)
+
+
+def _canny_blurred(blurred: GrayRaster, low: float, high: float) -> np.ndarray:
+    """canny_edges of an image that is already blurred."""
+    h, w = blurred.array.shape
+    gp = np.pad(blurred.array.astype(np.int32), 1, mode="edge")
     gx = (gp[:-2, 2:] + 2 * gp[1:-1, 2:] + gp[2:, 2:]
-          - gp[:-2, :-2] - 2 * gp[1:-1, :-2] - gp[2:, :-2])
+          - gp[:-2, :-2] - 2 * gp[1:-1, :-2] - gp[2:, :-2]).ravel()
     gy = (gp[2:, :-2] + 2 * gp[2:, 1:-1] + gp[2:, 2:]
-          - gp[:-2, :-2] - 2 * gp[:-2, 1:-1] - gp[:-2, 2:])
-    mag = np.hypot(gx, gy)
+          - gp[:-2, :-2] - 2 * gp[:-2, 1:-1] - gp[:-2, 2:]).ravel()
 
-    angle = np.rad2deg(np.arctan2(gy, gx)) % 180.0
-    mp = np.pad(mag, 1, mode="constant")
+    # Only pixels with |gradient| >= low can become edges. The magnitude is
+    # computed where it may reach low - 1; any pixel below that is weaker
+    # than every candidate, so it reads as 0 when a candidate compares itself
+    # with its neighbors across the edge.
+    sq = gx * gx + gy * gy
+    cand = np.flatnonzero(sq >= ((low - 1) ** 2 if low > 1 else 0))
+    gxs, gys = gx[cand], gy[cand]
+    mag = np.hypot(gxs, gys)
+    stride = w + 2
+    at = (cand // w + 1) * stride + cand % w + 1  # index in the zero-padded image
+    padded = np.zeros((h + 2) * stride)
+    padded[at] = mag
 
-    def shifted(dy, dx):
-        return mp[1 + dy:mp.shape[0] - 1 + dy, 1 + dx:mp.shape[1] - 1 + dx]
-
-    nms = np.zeros_like(mag, dtype=bool)
-    for lo, hi, (dy, dx) in (
-        (0.0, 22.5, (0, 1)), (157.5, 180.0, (0, 1)),   # horizontal gradient -> vertical edge
-        (22.5, 67.5, (1, 1)),
-        (67.5, 112.5, (1, 0)),
-        (112.5, 157.5, (1, -1)),
-    ):
-        sel = (angle >= lo) & (angle < hi)
-        nms |= sel & (mag >= shifted(dy, dx)) & (mag >= shifted(-dy, -dx))
-
-    weak = nms & (mag >= low)
-    strong = weak & (mag >= high)
-    if not strong.any():
+    # gradient direction folded to [0, 180) degrees, binned at 22.5/67.5/
+    # 112.5/157.5 by comparing |gy| with tan * |gx| (the Sobel responses are
+    # integers, so no ratio lies on a bin edge), and the neighbor step across
+    # the edge: horizontal gradient -> (0, 1), vertical -> (1, 0), diagonals
+    # -> (1, 1) or (1, -1)
+    ax, ay = np.abs(gxs), np.abs(gys)
+    step = np.where(ay < _TAN_22_5 * ax, 1,
+                    np.where(ay >= _TAN_67_5 * ax, stride,
+                             np.where((gxs > 0) == (gys > 0), stride + 1, stride - 1)))
+    edge = (mag >= low) & (mag >= padded[at + step]) & (mag >= padded[at - step])
+    weak = np.zeros(h * w, dtype=bool)
+    weak[cand[edge]] = True
+    weak = weak.reshape(h, w)
+    strong = cand[edge & (mag >= high)]
+    if len(strong) == 0:
         return np.zeros_like(weak)
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
     keep = np.zeros(labels.max() + 1, dtype=bool)
-    keep[np.unique(labels[strong])] = True
+    keep[np.unique(labels.ravel()[strong])] = True
     keep[0] = False
     return keep[labels]
 
 
 def _row_segments(edges: np.ndarray, min_len: int, max_gap: int = 2,
                   min_density: float = 0.8) -> list[tuple[int, int, int]]:
-    """Dense horizontal edge runs per row as (y, x0, x1) with x1 inclusive."""
-    segs = []
-    for y in range(edges.shape[0]):
-        xs = np.flatnonzero(edges[y])
-        if len(xs) < min_len * min_density:
-            continue
-        run_start = xs[0]
-        prev = xs[0]
-        count = 1
-        for x in xs[1:]:
-            if x - prev <= max_gap + 1:
-                prev = x
-                count += 1
-                continue
-            span = prev - run_start + 1
-            if span >= min_len and count / span >= min_density:
-                segs.append((y, int(run_start), int(prev)))
-            run_start = x
-            prev = x
-            count = 1
-        span = prev - run_start + 1
-        if span >= min_len and count / span >= min_density:
-            segs.append((y, int(run_start), int(prev)))
-    return segs
+    """Dense horizontal edge runs per row as (y, x0, x1) with x1 inclusive.
+
+    A run spans gaps of up to max_gap pixels; it is kept when it is at least
+    min_len long and at least min_density of it is edge. Rows with fewer
+    edge pixels than min_len * min_density are skipped outright.
+    """
+    ys, xs = np.nonzero(edges)
+    if len(xs) == 0:
+        return []
+    cut = np.flatnonzero((np.diff(ys) != 0) | (np.diff(xs) > max_gap + 1)) + 1
+    first = np.concatenate(([0], cut))
+    last = np.concatenate((cut, [len(xs)])) - 1
+    span = xs[last] - xs[first] + 1
+    count = last - first + 1
+    row_count = np.count_nonzero(edges, axis=1)[ys[first]]
+    keep = ((row_count >= min_len * min_density) & (span >= min_len)
+            & (count / span >= min_density))
+    return list(zip(ys[first[keep]].tolist(), xs[first[keep]].tolist(),
+                    xs[last[keep]].tolist()))
 
 
 def _merge_lines(segs: list[tuple[int, int, int]], tol: int = 2) -> list[tuple[int, int, int]]:
@@ -305,10 +323,9 @@ def _merge_lines(segs: list[tuple[int, int, int]], tol: int = 2) -> list[tuple[i
     return [tuple(m) for m in merged]
 
 
-def _span_coverage(lo: int, hi: int, seg_lo: int, seg_hi: int) -> float:
-    if hi <= lo:
-        return 0.0
-    return max(0, min(hi, seg_hi) - max(lo, seg_lo)) / (hi - lo)
+def _coverage(lo, hi, seg_lo, seg_hi) -> np.ndarray:
+    """Fraction of [lo, hi) that the segment [seg_lo, seg_hi] covers; hi > lo."""
+    return np.maximum(0, np.minimum(hi, seg_hi) - np.maximum(lo, seg_lo)) / (hi - lo)
 
 
 def _thicken(edges: np.ndarray, axis: int) -> np.ndarray:
@@ -325,55 +342,118 @@ def _thicken(edges: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def detect_edge_boxes(img: Raster, p: DetectionParams) -> list[CandidateBox]:
-    """Canny edges -> horizontal/vertical line runs -> rectangle clustering."""
-    gray = to_grayscale(img)
-    edges = canny_edges(gray, p.gaussian_sigma, p.canny_low, p.canny_high)
+# More lines per axis than this is a line-dense image (a grid, a table).
+# Rectangle assembly grows as lines^4, so such an image gets no edge
+# candidates; the contour detector still runs on it. Seeded scenes reach 28.
+MAX_LINES_PER_AXIS = 32
+
+_LINE_TOL = 4  # px a v-line may sit left of both h-lines' starts
+_MIN_SIDE = 10  # px between paired lines
+_CHUNK = 1 << 13  # elements per temporary in rectangle assembly
+_CLOUD_IOU = 0.8  # rects this similar are one cloud of frames
+
+
+def _assemble_rects(hs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every h-line pair x v-line pair whose four sides have edge support.
+
+    Lines are (n, 3) int arrays of (pos, lo, hi). Returns rects as (n, 4)
+    (x, y, w, h) rows and their scores, the summed side coverage. Pairs are
+    broadcast over chunks of h-line pairs, so no temporary exceeds _CHUNK.
+    """
+    i, j = np.triu_indices(len(hs), k=1)
+    apart = hs[j, 0] - hs[i, 0] >= _MIN_SIDE
+    i, j = i[apart], j[apart]
+    a, b = np.triu_indices(len(vs), k=1)
+    apart = vs[b, 0] - vs[a, 0] >= _MIN_SIDE
+    a, b = a[apart], b[apart]
+    x1, ay0, ay1 = vs[a].T
+    x2, by0, by1 = vs[b].T
+    rects, scores = [np.zeros((0, 4), dtype=np.int64)], [np.zeros(0)]
+    step = max(1, _CHUNK // max(1, len(a)))
+    for s in range(0, len(i), step):
+        y1, ax0, ax1 = hs[i[s:s + step]].T[:, :, None]
+        y2, bx0, bx1 = hs[j[s:s + step]].T[:, :, None]
+        top = _coverage(x1, x2, ax0, ax1)
+        bot = _coverage(x1, x2, bx0, bx1)
+        left = _coverage(y1, y2, ay0, ay1)
+        right = _coverage(y1, y2, by0, by1)
+        score = top + bot + left + right
+        ok = ((x1 >= np.minimum(ax0, bx0) - _LINE_TOL)
+              & (np.minimum(np.minimum(top, bot), np.minimum(left, right)) >= 0.5)
+              & (score / 4.0 >= 0.75))
+        r, q = np.nonzero(ok)
+        rects.append(np.stack([x1[q], y1[r, 0], x2[q] - x1[q] + 1,
+                               y2[r, 0] - y1[r, 0] + 1], axis=1))
+        scores.append(score[r, q])
+    return np.concatenate(rects), np.concatenate(scores)
+
+
+def _suppress_clouds(rects: np.ndarray, scores: np.ndarray) -> list[Rect]:
+    """Greedy IoU suppression in (-best score, rect) order.
+
+    Each distinct rect counts once, with its best score. Every kept rect
+    drops the later ones it overlaps at IoU >= t = _CLOUD_IOU. The widths
+    of such a pair, and their heights, are within a factor t of each other,
+    so each kept rect is only tested against the rects of those sizes.
+    """
+    order = np.lexsort((rects[:, 3], rects[:, 2], rects[:, 1], rects[:, 0], -scores))
+    rects = rects[order]
+    _, first = np.unique(rects, axis=0, return_index=True)
+    rects = rects[np.sort(first)]
+    x, y, w, h = rects.T
+    x2, y2, area = x + w, y + h, w * h
+    # rects by size key w * stride + h: one contiguous run per width
+    stride = 2 * int(h.max(initial=0)) + 2
+    by_size = np.argsort(w * stride + h, kind="stable")
+    size_keys = (w * stride + h)[by_size]
+    widths = np.unique(w)
+    alive = np.ones(len(rects), dtype=bool)
+    kept = []
+    for k in range(len(rects)):
+        if not alive[k]:
+            continue
+        kept.append(k)
+        alive[k] = False
+        near_w = widths[(widths >= _CLOUD_IOU * w[k] - 1) & (widths <= w[k] / _CLOUD_IOU + 1)]
+        starts = np.searchsorted(size_keys, near_w * stride + (_CLOUD_IOU * h[k] - 1))
+        stops = np.searchsorted(size_keys, near_w * stride + (h[k] / _CLOUD_IOU + 1))
+        lens = stops - starts
+        near = by_size[np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)]
+        near = near[alive[near]]
+        iw = np.minimum(x2[k], x2[near]) - np.maximum(x[k], x[near])
+        ih = np.minimum(y2[k], y2[near]) - np.maximum(y[k], y[near])
+        inter = np.where((iw > 0) & (ih > 0), iw * ih, 0)
+        alive[near[inter / (area[k] + area[near] - inter) >= _CLOUD_IOU]] = False
+    return [Rect(*row) for row in rects[kept].tolist()]
+
+
+def detect_edge_boxes(img: Raster, p: DetectionParams,
+                      blurred: Optional[GrayRaster] = None) -> list[CandidateBox]:
+    """Canny edges -> horizontal/vertical line runs -> rectangle clustering.
+
+    `blurred` is blurred_gray(img, p) when the caller already has it.
+    """
+    if blurred is None:
+        blurred = blurred_gray(img, p)
+    edges = _canny_blurred(blurred, p.canny_low, p.canny_high)
     min_h_len = max(8, int(p.hough_min_line_frac * img.width))
     min_v_len = max(8, int(p.hough_min_line_frac * img.height))
 
     hlines = _merge_lines(_row_segments(_thicken(edges, 0), min_h_len))
-    vlines = [(x, y0, y1) for (x, y0, y1)
-              in _merge_lines(_row_segments(_thicken(edges, 1).T, min_v_len))]
+    vlines = _merge_lines(_row_segments(_thicken(edges, 1).T, min_v_len))
+    if max(len(hlines), len(vlines)) > MAX_LINES_PER_AXIS:
+        log.warning("edge detector skipped a line-dense %dx%d image: %d h-lines, "
+                    "%d v-lines (cap %d per axis)", img.width, img.height,
+                    len(hlines), len(vlines), MAX_LINES_PER_AXIS)
+        return []
 
-    tol = 4
-    scored: dict[Rect, float] = {}
-    hs = sorted(hlines)
-    vs = sorted(vlines)
-    for i in range(len(hs)):
-        y1, ax0, ax1 = hs[i]
-        for j in range(i + 1, len(hs)):
-            y2, bx0, bx1 = hs[j]
-            if y2 - y1 < 10:
-                continue
-            for a in range(len(vs)):
-                x1, ay0, ay1 = vs[a]
-                if x1 < min(ax0, bx0) - tol:
-                    continue
-                for b in range(a + 1, len(vs)):
-                    x2, by0, by1 = vs[b]
-                    if x2 - x1 < 10:
-                        continue
-                    # edge-support coverage of each side of the candidate rect
-                    top = _span_coverage(x1, x2, ax0, ax1)
-                    bot = _span_coverage(x1, x2, bx0, bx1)
-                    left = _span_coverage(y1, y2, ay0, ay1)
-                    right = _span_coverage(y1, y2, by0, by1)
-                    cov = (top, bot, left, right)
-                    if min(cov) < 0.5 or sum(cov) / 4.0 < 0.75:
-                        continue
-                    rect = Rect(x1, y1, x2 - x1 + 1, y2 - y1 + 1)
-                    score = sum(cov)
-                    if score > scored.get(rect, 0.0):
-                        scored[rect] = score
+    def lines(found):
+        return np.array(sorted(found), dtype=np.int64).reshape(-1, 3)
 
     # nearby parallel lines spawn clouds of near-identical frames; keep the
     # best-supported representative of each cloud, distinct structures stay
-    boxes: list[CandidateBox] = []
-    for rect in sorted(scored, key=lambda r: (-scored[r], r)):
-        if all(iou(rect, kept.rect) < 0.8 for kept in boxes):
-            boxes.append(CandidateBox(rect, "edge"))
-    return boxes
+    rects, scores = _assemble_rects(lines(hlines), lines(vlines))
+    return [CandidateBox(r, "edge") for r in _suppress_clouds(rects, scores)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +540,7 @@ def window_features(img: Raster, r: Rect) -> np.ndarray:
     if not r.within_image(img):
         raise ParameterError(f"rect {r} outside image {img.width}x{img.height}")
     crop = img.array[r.y:r.y2, r.x:r.x2].astype(np.float64)
-    luma = crop[:, :, 0] * 0.299 + crop[:, :, 1] * 0.587 + crop[:, :, 2] * 0.114
+    luma = rgb_to_luma(crop)
     h, w = luma.shape
     f = np.zeros(N_FEATURES)
 
@@ -505,10 +585,8 @@ def window_features(img: Raster, r: Rect) -> np.ndarray:
     # boxes may sit a pixel or two inside the true frame
     ex = 2
     ey0, ex0 = max(0, r.y - ex), max(0, r.x - ex)
-    ecrop = img.array[ey0:min(img.height, r.y2 + ex),
-                      ex0:min(img.width, r.x2 + ex)].astype(np.float64)
-    eluma = ecrop[:, :, 0] * 0.299 + ecrop[:, :, 1] * 0.587 + ecrop[:, :, 2] * 0.114
-    sides = _side_coverage(eluma)
+    sides = _side_coverage(rgb_to_luma(img.array[ey0:min(img.height, r.y2 + ex),
+                                                 ex0:min(img.width, r.x2 + ex)]))
     f[19:23] = sides
     f[23] = sides.min()
 
@@ -649,16 +727,6 @@ def train_category_model(X: np.ndarray, app_labels: list[str], os_labels: list[s
     return WindowCategoryModel(app_classes, os_classes, Wa, ba, Wo, bo, mean, scale)
 
 
-def classify_window(img: Raster, r: Rect, model: WindowFilterModel) -> float:
-    """Probability that the crop at r is an application window."""
-    return model.predict_proba(window_features(img, r))
-
-
-def categorize_window(img: Raster, r: Rect, model: WindowCategoryModel):
-    """(app_category, os_category, app_confidence, os_confidence) for the crop."""
-    return model.predict(window_features(img, r))
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -676,7 +744,9 @@ def detect_windows(img: Raster, p: DetectionParams,
                    filter_model: WindowFilterModel,
                    category_model: WindowCategoryModel) -> list[WindowDetection]:
     """Ensemble of both detectors -> size filter -> window filter -> dedup -> categorize."""
-    candidates = detect_contour_boxes(img, p) + detect_edge_boxes(img, p)
+    blurred = blurred_gray(img, p)
+    candidates = (detect_contour_boxes(img, p, blurred=blurred)
+                  + detect_edge_boxes(img, p, blurred=blurred))
     clamped = []
     for c in candidates:
         r = _clamp_rect(c.rect, img)
@@ -684,18 +754,21 @@ def detect_windows(img: Raster, p: DetectionParams,
             clamped.append(CandidateBox(r, c.source))
     sized = size_filter(clamped, p)
 
-    scored = []
+    # features depend on the rect alone: one call per distinct rect, reused
+    # by both models
+    feats: dict[Rect, np.ndarray] = {}
+    conf_by_rect: dict[Rect, float] = {}
     for c in sized:
-        conf = classify_window(img, c.rect, filter_model)
-        if conf >= p.window_conf_cutoff:
-            scored.append((c, conf))
-    conf_by_rect = {c.rect: conf for c, conf in scored}
-    survivors = dedup([c for c, _ in scored], p, scores=conf_by_rect)
+        if c.rect not in feats:
+            feats[c.rect] = window_features(img, c.rect)
+            conf_by_rect[c.rect] = filter_model.predict_proba(feats[c.rect])
+    survivors = dedup([c for c in sized if conf_by_rect[c.rect] >= p.window_conf_cutoff],
+                      p, scores=conf_by_rect)
     survivors = _suppress_nested(survivors, conf_by_rect)
 
     detections = []
     for c in survivors:
-        app, osc, ca, co = categorize_window(img, c.rect, category_model)
+        app, osc, ca, co = category_model.predict(feats[c.rect])
         detections.append(WindowDetection(
             rect=c.rect,
             window_confidence=conf_by_rect[c.rect],

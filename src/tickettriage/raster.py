@@ -78,11 +78,15 @@ class BinaryRaster(GrayRaster):
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
+def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:
+    """Float luma 0.299 R + 0.587 G + 0.114 B of an (..., 3) array, unrounded."""
+    return (rgb[..., 0] * LUMA_WEIGHTS[0] + rgb[..., 1] * LUMA_WEIGHTS[1]
+            + rgb[..., 2] * LUMA_WEIGHTS[2])
+
+
 def to_grayscale(img: Raster) -> GrayRaster:
     """Per-pixel luma round(0.299 R + 0.587 G + 0.114 B), clamped to [0, 255]."""
-    rgb = img.array.astype(np.float64)
-    luma = rgb[:, :, 0] * LUMA_WEIGHTS[0] + rgb[:, :, 1] * LUMA_WEIGHTS[1] + rgb[:, :, 2] * LUMA_WEIGHTS[2]
-    return GrayRaster(np.clip(np.rint(luma), 0, 255).astype(np.uint8))
+    return GrayRaster(np.clip(np.rint(rgb_to_luma(img.array)), 0, 255).astype(np.uint8))
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .classify import TextClassifierModel, ensemble_predict
-from .errors import ConsistencyError, ParameterError
+from .errors import ParameterError
 from .search import (
     IndexDoc,
     RankedResult,
@@ -148,14 +148,6 @@ def split_head_tail(corpus: Sequence[TicketRecord], freq_threshold: int,
     return CorpusSplit(histogram, freq_threshold, head_cats, head, tail)
 
 
-def lookup_resolution(db: ResolutionDB, category: str,
-                      claimed_head: bool = False) -> Optional[str]:
-    res = db.lookup(category)
-    if res is None and claimed_head:
-        raise ConsistencyError(f"head category {display_category(category)} has no resolution")
-    return res
-
-
 # ---------------------------------------------------------------------------
 # triage orchestration
 
@@ -197,9 +189,11 @@ def triage(enriched_text: str, models: TriageModels, db: ResolutionDB,
     cat_label, cat_conf = ensemble_predict(*models.category_pair, enriched_text)
     confidences = {"resolver_group": resolv_conf, "problem_category": cat_conf}
 
-    if resolv_conf > cutoffs.conf_resolv and cat_conf > cutoffs.conf_prob:
-        resolution = lookup_resolution(db, cat_label, claimed_head=True)
-        return TriageResult(resolv_label, cat_label, [resolution], "short_head",
+    # short head: both gates confident and the category has a curated
+    # resolution; a confident category without one is searched like the tail
+    if (resolv_conf > cutoffs.conf_resolv and cat_conf > cutoffs.conf_prob
+            and db.has(cat_label)):
+        return TriageResult(resolv_label, cat_label, [db.lookup(cat_label)], "short_head",
                             confidences)
 
     # long tail: keep confident fields as search filters

@@ -18,7 +18,7 @@ import numpy as np
 from . import font
 from .errors import ParameterError, TrainingError
 from .imaging import Rect
-from .raster import Raster
+from .raster import Raster, rgb_to_luma
 
 OCCLUDED_MARK = "⟨occluded⟩"  # surfaced for gaps the LM cannot recover
 
@@ -37,17 +37,21 @@ _TEMPLATES: list[tuple[str, int]] = sorted(
     (ch, int("".join("1" if v else "0" for v in grid.ravel()), 2))
     for ch, grid in font.GLYPHS.items()
 )
+_TEMPLATE_CHARS = [ch for ch, _ in _TEMPLATES]
+_TEMPLATE_BITS = np.array([bits for _, bits in _TEMPLATES], dtype=np.uint64)
 _CELL_BITS = font.GLYPH_W * font.GLYPH_H
+# weight of each cell pixel in row-major order, first pixel most significant
+_BIT_WEIGHTS = np.left_shift(np.uint64(1), np.arange(_CELL_BITS - 1, -1, -1, dtype=np.uint64))
+_MAX_LIFT = 2  # a band may start at glyph row 0, 1 or 2 (lowercase-only lines)
 
 
 def _ink_mask(luma: np.ndarray) -> np.ndarray:
     """Pixels that differ from their row's dominant value by more than 40."""
-    mask = np.zeros(luma.shape, dtype=bool)
-    for y in range(luma.shape[0]):
-        row = luma[y]
-        dominant = np.bincount(row, minlength=256).argmax()
-        mask[y] = np.abs(row.astype(np.int16) - int(dominant)) > 40
-    return mask
+    h = luma.shape[0]
+    keys = np.arange(h)[:, None] * 256 + luma
+    counts = np.bincount(keys.ravel(), minlength=h * 256).reshape(h, 256)
+    dominant = counts.argmax(axis=1)  # the smallest of equally common values
+    return np.abs(luma.astype(np.int16) - dominant[:, None]) > 40
 
 
 def _bands(ink: np.ndarray, max_gap: int = 2, max_height: int = 9):
@@ -67,17 +71,24 @@ def _bands(ink: np.ndarray, max_gap: int = 2, max_height: int = 9):
     return [(a, b) for a, b in bands if b - a + 1 <= max_height]
 
 
-def _cell_bits(ink: np.ndarray, top: int, left: int) -> int:
+def _band_cells(ink: np.ndarray, band_top: int, x0: int, n_cells: int) -> np.ndarray:
+    """Bit-packed 5x7 cells of one band: (_MAX_LIFT + 1, n_cells) uint64.
+
+    Row v holds the cells whose top is band_top - v; cell k starts at column
+    x0 + k * ADVANCE. Pixels outside the ink mask read as blank.
+    """
     h, w = ink.shape
-    bits = 0
-    for gy in range(font.GLYPH_H):
-        y = top + gy
-        for gx in range(font.GLYPH_W):
-            bits <<= 1
-            x = left + gx
-            if 0 <= y < h and 0 <= x < w and ink[y, x]:
-                bits |= 1
-    return bits
+    rows = font.GLYPH_H + _MAX_LIFT
+    width = n_cells * font.ADVANCE
+    strip = np.zeros((rows, width), dtype=bool)
+    y0 = band_top - _MAX_LIFT
+    ya, yb = max(0, y0), min(h, y0 + rows)
+    strip[ya - y0:yb - y0, :min(width, w - x0)] = ink[ya:yb, x0:x0 + width]
+    cols = strip.reshape(rows, n_cells, font.ADVANCE)[:, :, :font.GLYPH_W]
+    cells = np.stack([cols[_MAX_LIFT - v:_MAX_LIFT - v + font.GLYPH_H]
+                      for v in range(_MAX_LIFT + 1)])  # (v, gy, k, gx)
+    cells = cells.transpose(0, 2, 1, 3).reshape(_MAX_LIFT + 1, n_cells, _CELL_BITS)
+    return (cells * _BIT_WEIGHTS).sum(axis=2, dtype=np.uint64)
 
 
 def _is_decoration(bits: int) -> bool:
@@ -88,13 +99,15 @@ def _is_decoration(bits: int) -> bool:
     return full >= 4 and all(r in (0, 0b11111) for r in rows)
 
 
-def _match_cell(bits: int) -> tuple[str, float]:
-    best_char, best_mismatch = "?", _CELL_BITS
-    for ch, tbits in _TEMPLATES:
-        mismatch = (bits ^ tbits).bit_count()
-        if mismatch < best_mismatch:
-            best_char, best_mismatch = ch, mismatch
-    return best_char, 1.0 - best_mismatch / _CELL_BITS
+def _match_cells(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest template of each packed cell by Hamming distance.
+
+    Returns template indices and mismatch counts; ties go to the first
+    template in character order.
+    """
+    mismatch = np.bitwise_count(bits[..., None] ^ _TEMPLATE_BITS)
+    best = mismatch.argmin(axis=-1)
+    return best, np.take_along_axis(mismatch, best[..., None], axis=-1)[..., 0]
 
 
 class GlyphOcrEngine:
@@ -110,9 +123,7 @@ class GlyphOcrEngine:
         if r.w <= 2 * m + font.GLYPH_W or r.h <= 2 * m + font.GLYPH_H:
             return []
         crop = img.array[r.y + m:r.y2 - m, r.x + m:r.x2 - m]
-        luma = np.clip(np.rint(
-            crop[:, :, 0] * 0.299 + crop[:, :, 1] * 0.587 + crop[:, :, 2] * 0.114
-        ), 0, 255).astype(np.uint8)
+        luma = np.clip(np.rint(rgb_to_luma(crop)), 0, 255).astype(np.uint8)
         ink = _ink_mask(luma)
 
         tokens: list[OcrToken] = []
@@ -122,24 +133,23 @@ class GlyphOcrEngine:
                 continue
             x0, x1 = int(cols[0]), int(cols[-1])
             n_cells = (x1 - x0) // font.ADVANCE + 1
-            # the band may start at glyph row 0, 1 or 2 (lowercase-only lines)
-            best = None
-            for v in range(3):
-                top = band_top - v
-                cells = [_match_cell(_cell_bits(ink, top, x0 + k * font.ADVANCE))
-                         for k in range(n_cells)]
-                blanks = [_cell_bits(ink, top, x0 + k * font.ADVANCE) == 0
-                          for k in range(n_cells)]
-                score = sum(c for (_, c), blank in zip(cells, blanks) if not blank)
-                if best is None or score > best[0]:
-                    best = (score, top, cells, blanks)
-            _, top, cells, blanks = best
+            packed = _band_cells(ink, band_top, x0, n_cells)
+            best, mismatch = _match_cells(packed)
+            confs = [[1.0 - n / _CELL_BITS for n in row] for row in mismatch.tolist()]
+            # the band may start at glyph row 0, 1 or 2: take the first lift
+            # whose non-blank cells match best in sum
+            scores = [sum(c for c, bits in zip(row_confs, row_bits) if bits)
+                      for row_confs, row_bits in zip(confs, packed.tolist())]
+            lift = scores.index(max(scores))
+            top = band_top - lift
+            cell_bits = packed[lift].tolist()
+            cells = [(_TEMPLATE_CHARS[i], c) for i, c in zip(best[lift].tolist(), confs[lift])]
 
             run_chars: list[tuple[str, float]] = []
             run_start = 0
             for k in range(n_cells + 1):
                 at_end = k == n_cells
-                blank = at_end or blanks[k]
+                blank = at_end or cell_bits[k] == 0
                 if blank:
                     if run_chars:
                         tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
@@ -147,16 +157,16 @@ class GlyphOcrEngine:
                     run_start = k + 1
                     continue
                 ch, conf = cells[k]
-                cell_bits = _cell_bits(ink, top, x0 + k * font.ADVANCE)
+                bits = cell_bits[k]
                 # title-bar buttons land on the glyph grid; treat as spacing
-                if _is_decoration(cell_bits) and cell_bits.bit_count() < 26:
+                if _is_decoration(bits) and bits.bit_count() < 26:
                     if run_chars:
                         tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
                         run_chars = []
                     run_start = k + 1
                     continue
                 # solidly-filled cell with a poor match = occluded region
-                if cell_bits.bit_count() >= 26 and conf < 0.6:
+                if bits.bit_count() >= 26 and conf < 0.6:
                     if run_chars:
                         tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
                         run_chars = []

@@ -59,7 +59,7 @@ def _window_training_set(seed: int, n_scenes: int = 400,
     truth, so the filter learns the exact false-positive distribution it will
     see at detection time. Ground-truth boxes are added as extra positives
     and provide the category labels."""
-    from .imaging import (CandidateBox, detect_contour_boxes, detect_edge_boxes,
+    from .imaging import (blurred_gray, detect_contour_boxes, detect_edge_boxes,
                           iou, size_filter)
     params = params or DetectionParams()
     X, y, X_cat, app_labels, os_labels = [], [], [], [], []
@@ -74,8 +74,10 @@ def _window_training_set(seed: int, n_scenes: int = 400,
             X_cat.append(feats)
             app_labels.append(kind)
             os_labels.append(theme)
+        blurred = blurred_gray(img, params)
         candidates = size_filter(
-            detect_contour_boxes(img, params) + detect_edge_boxes(img, params),
+            detect_contour_boxes(img, params, blurred=blurred)
+            + detect_edge_boxes(img, params, blurred=blurred),
             params)
         seen: set = set()
         for c in candidates:

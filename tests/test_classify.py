@@ -3,6 +3,7 @@ import pytest
 
 from tickettriage.classify import (
     TfidfVectorizer,
+    _holdout_split,
     choose_threshold,
     ensemble_predict,
     tokenize,
@@ -107,3 +108,27 @@ def test_choose_threshold_unattainable_target():
 def test_choose_threshold_trivial_target():
     assert choose_threshold([(0.1, False)], 0.0) == (0.0, 1.0, True)
     assert choose_threshold([], 0.9) == (1.0, 0.0, False)
+
+
+def _holdout_split_oracle(labels):
+    """The split as first written: quadratic membership test per class."""
+    by_class = {}
+    for i, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(i)
+    train, held = [], []
+    for lab in sorted(by_class):
+        idxs = by_class[lab]
+        if len(idxs) >= 10:
+            held.extend(idxs[::10])
+            train.extend(i for i in idxs if i not in set(idxs[::10]))
+        else:
+            train.extend(idxs)
+    return sorted(train), sorted(held)
+
+
+def test_holdout_split_matches_oracle_on_random_labels():
+    rng = np.random.RandomState(5)
+    for _ in range(200):
+        n_classes = int(rng.randint(1, 8))
+        labels = [f"c{k}" for k in rng.randint(0, n_classes, size=int(rng.randint(0, 120)))]
+        assert _holdout_split(labels) == _holdout_split_oracle(labels)

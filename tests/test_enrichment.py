@@ -148,3 +148,34 @@ def test_enrich_multimodal_recovers_entities_from_screenshot(bundle, corpus_dir)
     # an occluded or missed window can hide the code line in a few scenes
     assert with_code >= 8
     assert with_app == 10
+
+
+def test_enrich_multimodal_reaches_every_wrapped_name(bundle, monkeypatch):
+    """External tracers patch these attributes; the screenshot path must
+    still call through them, not around them."""
+    from tickettriage import imaging, textextract
+    from tickettriage.synthgen import random_scene, render_scene
+
+    calls = {}
+
+    def count(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    for name in ("detect_contour_boxes", "detect_edge_boxes", "window_features"):
+        count(imaging, name, name)
+    count(textextract, "ocr_window", "ocr_window")
+    count(textextract.GlyphOcrEngine, "__call__", "GlyphOcrEngine.__call__")
+
+    img, _ = render_scene(random_scene(4242, n_windows=1))
+    enriched = enrich_multimodal(
+        "it crashed", [img], bundle.detection_params, bundle.filter_model,
+        bundle.category_model, entity_dictionaries(), lm=bundle.lm)
+    assert enriched.image_windows
+    assert sorted(calls) == sorted([
+        "detect_contour_boxes", "detect_edge_boxes", "window_features",
+        "ocr_window", "GlyphOcrEngine.__call__"])

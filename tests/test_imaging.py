@@ -1,3 +1,6 @@
+import logging
+import time
+
 import numpy as np
 import pytest
 
@@ -158,3 +161,21 @@ def test_pipeline_rejects_windowless_scene(bundle):
     dets = detect_windows(img, bundle.detection_params,
                           bundle.filter_model, bundle.category_model)
     assert dets == []
+
+
+def test_line_dense_screenshot_skips_edge_detector(bundle, caplog):
+    """Rectangle assembly grows as lines^4: a 320x240 screen ruled by 1-px
+    lines every 16 px (29 h-lines x 39 v-lines) made the edge detector run
+    for minutes. Past the per-axis cap it logs a warning and proposes
+    nothing, so the whole pipeline stays fast."""
+    arr = np.full((240, 320, 3), 235, dtype=np.uint8)
+    arr[::16, :] = 40
+    arr[:, ::16] = 40
+    img = Raster(arr)
+    p = bundle.detection_params
+    t0 = time.monotonic()
+    with caplog.at_level(logging.WARNING, logger="tickettriage.imaging"):
+        assert detect_edge_boxes(img, p) == []
+        detect_windows(img, p, bundle.filter_model, bundle.category_model)
+    assert time.monotonic() - t0 < 5.0
+    assert any("line-dense" in r.getMessage() for r in caplog.records)
