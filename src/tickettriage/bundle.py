@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .classify import TextClassifierModel
+from .classify import TextClassifierModel, TfidfVectorizer
 from .errors import ConsistencyError
 from .imaging import DetectionParams, WindowCategoryModel, WindowFilterModel
 from .recommend import SUBFIELDS, ResolutionDB, TriageModels
@@ -19,7 +18,7 @@ from .search import ResourcePool, SearchIndex
 from .textextract import Dictionary, WordLM
 
 MAGIC = b"TTRG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: one tf-idf vectorizer on TriageModels, shared by all heads
 
 
 @dataclass
@@ -60,6 +59,8 @@ def load_bundle(path: str) -> ModelBundle:
 def _validate(bundle: ModelBundle) -> None:
     if not isinstance(bundle, ModelBundle):
         raise ConsistencyError("bundle payload has the wrong type")
+    if not isinstance(getattr(bundle.models, "vectorizer", None), TfidfVectorizer):
+        raise ConsistencyError("bundle is missing the tf-idf vectorizer")
     for name in ("resolver_pair", "category_pair"):
         pair = getattr(bundle.models, name)
         if len(pair) != 2 or not all(isinstance(m, TextClassifierModel) for m in pair):

@@ -8,6 +8,7 @@ yield identical parameters.
 
 from __future__ import annotations
 
+import mmap
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -91,7 +92,6 @@ def _fit_platt(scores: np.ndarray, correct: np.ndarray,
 class TextClassifierModel:
     kind: str  # linear_ovr_margin | feedforward_1hidden
     classes: list[str]
-    vectorizer: TfidfVectorizer
     params: dict
     calib_a: float
     calib_b: float
@@ -109,17 +109,12 @@ class TextClassifierModel:
         part = np.sort(scores, axis=1)
         return part[:, -1] - part[:, -2]
 
-    def predict(self, text: str) -> tuple[str, float]:
-        scores = self._scores(self.vectorizer.transform([text]))
+    def predict(self, x: np.ndarray) -> tuple[str, float]:
+        """Label and calibrated confidence for one tf-idf row of shape (1, V)."""
+        scores = self._scores(x)
         idx = int(scores[0].argmax())
         conf = _sigmoid(self.calib_a * self._raw_confidence(scores)[0] + self.calib_b)
         return self.classes[idx], float(conf)
-
-    def predict_many(self, texts: list[str]) -> list[tuple[str, float]]:
-        scores = self._scores(self.vectorizer.transform(texts))
-        idxs = scores.argmax(axis=1)
-        confs = _sigmoid(self.calib_a * self._raw_confidence(scores) + self.calib_b)
-        return [(self.classes[int(i)], float(c)) for i, c in zip(idxs, confs)]
 
 
 def _train_linear(X, yi, n_classes, seed, epochs=60, lr=1.0, reg=1e-4):
@@ -181,9 +176,20 @@ def _holdout_split(labels: list[str]) -> tuple[list[int], list[int]]:
     return sorted(train), sorted(held)
 
 
-def train_classifier(texts: list[str], labels: list[str], kind: str,
-                     seed: int = 0, max_features: int = 4000) -> TextClassifierModel:
-    """Train a text classifier with margin->probability calibration."""
+def _dense_rows(X, rows: list[int]) -> np.ndarray:
+    """X[rows] as a dense array in its own anonymous memory map, which goes
+    back to the OS when the array is dropped; a heap block of this size would
+    stay resident behind the head's parameters allocated after it."""
+    n, v = len(rows), X.shape[1]
+    out = np.frombuffer(mmap.mmap(-1, max(1, 8 * n * v)), np.float64, count=n * v)
+    return X[rows].toarray(out=out.reshape(n, v))
+
+
+def train_classifier(X, labels: list[str], kind: str,
+                     seed: int = 0) -> TextClassifierModel:
+    """Train a classifier with margin->probability calibration on X, the
+    tf-idf rows of the labelled texts as a scipy.sparse CSR matrix. Only the
+    training and holdout subsets are made dense, each while it is used."""
     if kind not in ("linear_ovr_margin", "feedforward_1hidden"):
         raise TrainingError(f"unknown classifier kind {kind!r}")
     classes = sorted(set(labels))
@@ -192,9 +198,8 @@ def train_classifier(texts: list[str], labels: list[str], kind: str,
     if min(Counter(labels).values()) < 5:
         raise TrainingError("need at least 5 examples per class")
 
-    vec = TfidfVectorizer(max_features=max_features).fit(texts)
     train_idx, held_idx = _holdout_split(labels)
-    Xtr = vec.transform([texts[i] for i in train_idx])
+    Xtr = _dense_rows(X, train_idx)
     ytr = np.array([classes.index(labels[i]) for i in train_idx])
 
     if kind == "linear_ovr_margin":
@@ -202,10 +207,9 @@ def train_classifier(texts: list[str], labels: list[str], kind: str,
     else:
         params = _train_mlp(Xtr, ytr, len(classes), seed)
 
-    model = TextClassifierModel(kind, classes, vec, params, 1.0, 0.0)
+    model = TextClassifierModel(kind, classes, params, 1.0, 0.0)
     if held_idx:
-        Xh = vec.transform([texts[i] for i in held_idx])
-        scores = model._scores(Xh)
+        scores = model._scores(_dense_rows(X, held_idx))
         raw = model._raw_confidence(scores)
         pred = scores.argmax(axis=1)
         gold = np.array([classes.index(labels[i]) for i in held_idx])
@@ -215,11 +219,12 @@ def train_classifier(texts: list[str], labels: list[str], kind: str,
 
 
 def ensemble_predict(m1: TextClassifierModel, m2: TextClassifierModel,
-                     text: str) -> tuple[str, float]:
-    """Agreement gate: agreeing models yield min confidence, disagreement
-    yields confidence 0 so the caller falls through to the long-tail path."""
-    l1, c1 = m1.predict(text)
-    l2, c2 = m2.predict(text)
+                     x: np.ndarray) -> tuple[str, float]:
+    """Agreement gate over one tf-idf row: agreeing models yield min
+    confidence, disagreement yields confidence 0 so the caller falls through
+    to the long-tail path."""
+    l1, c1 = m1.predict(x)
+    l2, c2 = m2.predict(x)
     if l1 == l2:
         return l1, min(c1, c2)
     return (l1, 0.0) if c1 >= c2 else (l2, 0.0)

@@ -20,9 +20,10 @@ from .config import load_config, merged_config
 from .errors import ConsistencyError, ParameterError, TrainingError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
+    if seed:  # only gen and train draw random numbers
+        p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,14 +31,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic corpus")
-    _add_common(g)
+    _add_common(g, seed=True)
     g.add_argument("--out", required=True, help="output corpus directory")
     g.add_argument("--count", type=int, default=None)
     g.add_argument("--image-only-fraction", type=float, default=None,
                    dest="image_only_fraction")
 
     t = sub.add_parser("train", help="train a model bundle")
-    _add_common(t)
+    _add_common(t, seed=True)
     t.add_argument("--corpus", required=True, help="corpus directory from gen")
     t.add_argument("--out", required=True, help="bundle file to write")
     t.add_argument("--freq-threshold", type=int, default=None, dest="freq_threshold")
@@ -125,8 +126,7 @@ def cmd_triage(args) -> int:
     from .recommend import TicketRecord, display_category, load_corpus, triage
     from .search import LocalWebAdapter
 
-    cfg = _config_for(args, {"seed": args.seed, "mode": args.mode,
-                             "top_n": args.top_n})
+    cfg = _config_for(args, {"mode": args.mode, "top_n": args.top_n})
     mode = cfg.get("mode", "text")
     bundle = load_bundle(args.bundle)
     adapter = LocalWebAdapter(bundle.web_pages) if bundle.web_pages else None
@@ -167,7 +167,7 @@ def cmd_eval(args) -> int:
     from .recommend import load_corpus
     import os
 
-    cfg = _config_for(args, {"seed": args.seed, "mode": args.mode})
+    cfg = _config_for(args, {"mode": args.mode})
     mode = cfg.get("mode", "both")
     bundle = load_bundle(args.bundle)
     records = load_corpus(os.path.join(args.corpus, "tickets.jsonl"))

@@ -19,15 +19,6 @@ _SCHEMA: dict[str, type] = {
     "image_only_fraction": float,
     "count": int,
     "mode": str,
-    "gaussian_sigma": float,
-    "binarize_threshold": int,
-    "canny_low": float,
-    "canny_high": float,
-    "hough_min_line_frac": float,
-    "min_window_w": int,
-    "min_window_h": int,
-    "iou_dedup_threshold": float,
-    "window_conf_cutoff": float,
 }
 
 

@@ -121,14 +121,13 @@ def extract_entities(text: str, dictionaries: EntityDictionaries,
             e.components.append(comp)
     e.components.sort(key=lambda c: _find_term(lower, c))
 
-    code_hits = []
+    # the first pattern family that matches wins, not the earliest mention
     for pat in _ERROR_CODE_PATTERNS:
         m = pat.search(text)
         if m:
-            code_hits.append(m)
-    if code_hits:
-        e.error_code = code_hits[0].group(0)
-        first_hit = min(code_hits, key=lambda m: m.start())
+            e.error_code = m.group(0)
+            break
+    if e.error_code:
         for sentence in _SENTENCE_SPLIT.split(text):
             if any(pat.search(sentence) for pat in _ERROR_CODE_PATTERNS):
                 e.error_message = sentence.strip()
@@ -178,7 +177,6 @@ def correlate(text_entities: EntitySet, image_entities: EntitySet,
 
 @dataclass(frozen=True)
 class SlotTemplate:
-    resolver_group: str
     # ordered (slot_name, entity_field); entity_field "extra:<key>" reads extra_slots
     slots: tuple[tuple[str, str], ...]
 
@@ -188,7 +186,7 @@ class SlotTemplate:
             raise ValueError("slot names must be unique within a template")
 
 
-DEFAULT_TEMPLATE = SlotTemplate("default", (
+DEFAULT_TEMPLATE = SlotTemplate((
     ("errmsg", "error_message"),
     ("errcode", "error_code"),
     ("appname", "app_name"),
@@ -251,7 +249,7 @@ def enrich_multimodal(ticket_text: str, images, detection_params, filter_model,
                       regex_rules: Optional[dict[str, str]] = None) -> EnrichedTicket:
     """Run the image pipeline over attachments and enrich the ticket text."""
     from .imaging import detect_windows
-    from .textextract import Dictionary, correct_token, lm_correct_sequence, ocr_window
+    from .textextract import correct_token, lm_correct_sequence, ocr_window
 
     windows: list[tuple[WindowDetection, str]] = []
     for img in images:

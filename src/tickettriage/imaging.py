@@ -16,6 +16,8 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
+from .classify import _sigmoid
+from .errors import ParameterError
 from .raster import (
     GrayRaster,
     Raster,
@@ -24,7 +26,6 @@ from .raster import (
     rgb_to_luma,
     to_grayscale,
 )
-from .errors import ParameterError
 
 log = logging.getLogger(__name__)
 
@@ -604,10 +605,6 @@ def window_features(img: Raster, r: Rect) -> np.ndarray:
     if h > 24 and w > 12:
         f[26] = float((np.abs(dy[10:18, :]) > 40).mean(axis=1).max())
     return f
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

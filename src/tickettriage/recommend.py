@@ -13,10 +13,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .classify import TextClassifierModel, ensemble_predict
+from .classify import TextClassifierModel, TfidfVectorizer, ensemble_predict
 from .errors import ParameterError
 from .search import (
-    IndexDoc,
     RankedResult,
     ResourcePool,
     SearchIndex,
@@ -161,6 +160,7 @@ class TriageCutoffs:
 
 @dataclass
 class TriageModels:
+    vectorizer: TfidfVectorizer  # shared by every head below
     resolver_pair: tuple[TextClassifierModel, TextClassifierModel]
     category_pair: tuple[TextClassifierModel, TextClassifierModel]
     subfield_models: dict[str, TextClassifierModel]  # keyed by SUBFIELDS
@@ -185,8 +185,9 @@ def triage(enriched_text: str, models: TriageModels, db: ResolutionDB,
            index: SearchIndex, adapter: Optional[WebAdapter],
            pool: ResourcePool, cutoffs: TriageCutoffs = TriageCutoffs()) -> TriageResult:
     """Confidence-gated routing + resolution for one enriched ticket."""
-    resolv_label, resolv_conf = ensemble_predict(*models.resolver_pair, enriched_text)
-    cat_label, cat_conf = ensemble_predict(*models.category_pair, enriched_text)
+    x = models.vectorizer.transform([enriched_text])
+    resolv_label, resolv_conf = ensemble_predict(*models.resolver_pair, x)
+    cat_label, cat_conf = ensemble_predict(*models.category_pair, x)
     confidences = {"resolver_group": resolv_conf, "problem_category": cat_conf}
 
     # short head: both gates confident and the category has a curated
@@ -206,7 +207,7 @@ def triage(enriched_text: str, models: TriageModels, db: ResolutionDB,
 
     for sf in SUBFIELDS:
         model = models.subfield_models[sf]
-        label, conf = model.predict(enriched_text)
+        label, conf = model.predict(x)
         confidences[sf] = conf
         if conf > cutoffs.conf_subfield:
             filter_fields[sf] = label

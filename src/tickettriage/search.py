@@ -107,17 +107,15 @@ class LocalWebAdapter:
 
     def __init__(self, pages: Sequence[dict]):
         # pages: {"id", "title", "body"}
-        self.pages = list(pages)
+        self._title_body = {p["id"]: (p["title"], p["body"]) for p in pages}
         self._index = SearchIndex([
             IndexDoc(p["id"], f"{p['title']} {p['body']}", {}, resolution=p["body"])
-            for p in self.pages
+            for p in pages
         ])
 
     def __call__(self, query: str) -> list[tuple[str, str, str, float]]:
         results = self._index.search(query)
-        by_id = {p["id"]: p for p in self.pages}
-        return [(r.doc_id, by_id[r.doc_id]["title"], by_id[r.doc_id]["body"], r.d)
-                for r in results]
+        return [(r.doc_id, *self._title_body[r.doc_id], r.d) for r in results]
 
 
 def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedResult]:

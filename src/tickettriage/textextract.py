@@ -9,7 +9,6 @@ n-gram language model for low-confidence tokens and occlusion gaps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 

@@ -8,15 +8,15 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy import sparse
 
 from .bundle import ModelBundle
-from .classify import train_classifier
+from .classify import TfidfVectorizer, train_classifier
 from .enrichment import extract_entities, fill_slots
 from .errors import TrainingError
 from .fixtures import TAXONOMY, entity_dictionaries, phrase_bank, term_dictionary
 from .imaging import (
     DetectionParams,
-    Rect,
     train_category_model,
     train_filter_model,
     window_features,
@@ -24,7 +24,6 @@ from .imaging import (
 from .recommend import (
     SUBFIELDS,
     ResolutionDB,
-    TicketRecord,
     TriageModels,
     load_corpus,
     split_head_tail,
@@ -92,6 +91,13 @@ def _window_training_set(seed: int, n_scenes: int = 400,
     return np.array(X), np.array(y), np.array(X_cat), app_labels, os_labels
 
 
+def _tfidf_matrix(vectorizer: TfidfVectorizer, texts: list[str]) -> sparse.csr_matrix:
+    """vectorizer.transform(texts) as CSR, 256 texts at a time: a dense
+    tickets x vocabulary matrix would stay resident through all heads."""
+    return sparse.vstack([sparse.csr_matrix(vectorizer.transform(texts[i:i + 256]))
+                          for i in range(0, len(texts), 256)], format="csr")
+
+
 def train_bundle(corpus_dir: str, seed: int = 0,
                  freq_threshold: int | None = None,
                  detection_params: DetectionParams | None = None) -> ModelBundle:
@@ -107,23 +113,25 @@ def train_bundle(corpus_dir: str, seed: int = 0,
     split = split_head_tail(corpus, freq_threshold, db)
 
     texts = [enrich_text_only(r.text) for r in corpus]
+    vectorizer = TfidfVectorizer().fit(texts)
+    X = _tfidf_matrix(vectorizer, texts)
     resolver_labels = [r.resolver_group for r in corpus]
     category_labels = [r.category for r in corpus]
 
     resolver_pair = (
-        train_classifier(texts, resolver_labels, "linear_ovr_margin", seed),
-        train_classifier(texts, resolver_labels, "feedforward_1hidden", seed + 1),
+        train_classifier(X, resolver_labels, "linear_ovr_margin", seed),
+        train_classifier(X, resolver_labels, "feedforward_1hidden", seed + 1),
     )
     category_pair = (
-        train_classifier(texts, category_labels, "linear_ovr_margin", seed + 2),
-        train_classifier(texts, category_labels, "feedforward_1hidden", seed + 3),
+        train_classifier(X, category_labels, "linear_ovr_margin", seed + 2),
+        train_classifier(X, category_labels, "feedforward_1hidden", seed + 3),
     )
     subfield_models = {
-        sf: train_classifier(texts, [getattr(r, sf) for r in corpus],
+        sf: train_classifier(X, [getattr(r, sf) for r in corpus],
                              "linear_ovr_margin", seed + 4 + i)
         for i, sf in enumerate(SUBFIELDS)
     }
-    models = TriageModels(resolver_pair, category_pair, subfield_models)
+    models = TriageModels(vectorizer, resolver_pair, category_pair, subfield_models)
 
     docs = [
         IndexDoc(r.id, r.text + (" " + r.resolution if r.resolution else ""),

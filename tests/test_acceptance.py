@@ -294,6 +294,7 @@ def test_criterion_7_savings_report(capsys):
 # 8. triage branch contracts
 
 def test_criterion_8_triage_branches():
+    from tickettriage.classify import TfidfVectorizer
     from tickettriage.recommend import (ResolutionDB, TriageModels,
                                         compose_category, triage)
     from tickettriage.search import (IndexDoc, LocalWebAdapter, ResourcePool,
@@ -317,8 +318,11 @@ def test_criterion_8_triage_branches():
     adapter = LocalWebAdapter([{"id": "kb1", "title": "vpn timeout",
                                 "body": "check the gateway"}])
 
+    vectorizer = TfidfVectorizer().fit([docs[0].text])
+
     def models(rc, cc):
-        return TriageModels((Stub("net-ops", rc), Stub("net-ops", rc)),
+        return TriageModels(vectorizer,
+                            (Stub("net-ops", rc), Stub("net-ops", rc)),
                             (Stub(cat, cc), Stub(cat, cc)),
                             {"category_f1": Stub("network", 0.9),
                              "category_f2": Stub("vpn", 0.9),

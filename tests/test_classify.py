@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tickettriage.classify import (
     TfidfVectorizer,
@@ -42,20 +43,25 @@ def test_tfidf_vocab_cap():
     assert len(vec.vocab) == 5
 
 
+def _tfidf(texts):
+    return sparse.csr_matrix(TfidfVectorizer().fit(texts).transform(texts))
+
+
 @pytest.mark.parametrize("kind", ["linear_ovr_margin", "feedforward_1hidden"])
 def test_classifier_learns_separable_labels(kind):
     texts, labels = _toy_corpus()
-    model = train_classifier(texts, labels, kind, seed=0)
+    vec = TfidfVectorizer().fit(texts)
+    model = train_classifier(sparse.csr_matrix(vec.transform(texts)), labels, kind, seed=0)
     for text, label in zip(texts, labels):
-        pred, conf = model.predict(text)
+        pred, conf = model.predict(vec.transform([text]))
         assert pred == label
         assert 0.0 <= conf <= 1.0
 
 
 def test_classifier_training_is_deterministic():
     texts, labels = _toy_corpus()
-    m1 = train_classifier(texts, labels, "feedforward_1hidden", seed=4)
-    m2 = train_classifier(texts, labels, "feedforward_1hidden", seed=4)
+    m1 = train_classifier(_tfidf(texts), labels, "feedforward_1hidden", seed=4)
+    m2 = train_classifier(_tfidf(texts), labels, "feedforward_1hidden", seed=4)
     for key in m1.params:
         assert np.array_equal(m1.params[key], m2.params[key])
     assert (m1.calib_a, m1.calib_b) == (m2.calib_a, m2.calib_b)
@@ -64,11 +70,11 @@ def test_classifier_training_is_deterministic():
 def test_classifier_input_validation():
     texts, labels = _toy_corpus()
     with pytest.raises(TrainingError):
-        train_classifier(texts, labels, "decision_tree")
+        train_classifier(_tfidf(texts), labels, "decision_tree")
     with pytest.raises(TrainingError):
-        train_classifier(["a"] * 10, ["x"] * 10, "linear_ovr_margin")
+        train_classifier(_tfidf(["a"] * 10), ["x"] * 10, "linear_ovr_margin")
     with pytest.raises(TrainingError):
-        train_classifier(["a", "b", "c", "d", "e", "f"],
+        train_classifier(_tfidf(["a", "b", "c", "d", "e", "f"]),
                          ["x", "x", "x", "x", "x", "y"], "linear_ovr_margin")
 
 
@@ -76,7 +82,7 @@ class _Stub:
     def __init__(self, label, conf):
         self._out = (label, conf)
 
-    def predict(self, text):
+    def predict(self, x):
         return self._out
 
 
@@ -132,3 +138,55 @@ def test_holdout_split_matches_oracle_on_random_labels():
         n_classes = int(rng.randint(1, 8))
         labels = [f"c{k}" for k in rng.randint(0, n_classes, size=int(rng.randint(0, 120)))]
         assert _holdout_split(labels) == _holdout_split_oracle(labels)
+
+
+def _train_classifier_oracle(texts, labels, kind, seed):
+    """A head as first written: its own vectorizer fitted on the texts, the
+    train and holdout subsets transformed separately."""
+    from tickettriage.classify import (TextClassifierModel, _fit_platt, _train_linear,
+                                       _train_mlp)
+    classes = sorted(set(labels))
+    vec = TfidfVectorizer().fit(texts)
+    train_idx, held_idx = _holdout_split(labels)
+    Xtr = vec.transform([texts[i] for i in train_idx])
+    ytr = np.array([classes.index(labels[i]) for i in train_idx])
+    train = _train_linear if kind == "linear_ovr_margin" else _train_mlp
+    model = TextClassifierModel(kind, classes, train(Xtr, ytr, len(classes), seed), 1.0, 0.0)
+    if held_idx:
+        scores = model._scores(vec.transform([texts[i] for i in held_idx]))
+        gold = np.array([classes.index(labels[i]) for i in held_idx])
+        model.calib_a, model.calib_b = _fit_platt(model._raw_confidence(scores),
+                                                  scores.argmax(axis=1) == gold)
+    return model
+
+
+def test_shared_tfidf_matrix_matches_per_head_vectorizers(corpus_dir):
+    """One vectorizer and one batch transform give the same rows, and so the
+    same heads, as a vectorizer per head transforming its own subsets."""
+    import os
+
+    from tickettriage.recommend import load_corpus
+    from tickettriage.training import _tfidf_matrix, enrich_text_only
+
+    corpus = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
+    texts = [enrich_text_only(r.text) for r in corpus]
+    vec = TfidfVectorizer().fit(texts)
+    X = vec.transform(texts)
+    for i, text in enumerate(texts):
+        assert np.array_equal(X[i:i + 1], vec.transform([text]))
+    shared = _tfidf_matrix(vec, texts)  # 400 texts: two chunks
+    assert np.array_equal(shared.toarray(), X)
+
+    heads = [([r.resolver_group for r in corpus], "linear_ovr_margin", 1),
+             ([r.resolver_group for r in corpus], "feedforward_1hidden", 2),
+             ([r.category_f1 for r in corpus], "linear_ovr_margin", 5)]
+    for labels, kind, seed in heads:
+        for idx in _holdout_split(labels):
+            assert np.array_equal(X[idx], vec.transform([texts[i] for i in idx]))
+        got = train_classifier(shared, labels, kind, seed)
+        want = _train_classifier_oracle(texts, labels, kind, seed)
+        assert got.classes == want.classes
+        assert sorted(got.params) == sorted(want.params)
+        for key in want.params:
+            assert np.array_equal(got.params[key], want.params[key])
+        assert (got.calib_a, got.calib_b) == (want.calib_a, want.calib_b)

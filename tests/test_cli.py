@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tickettriage.cli import main
 
 
@@ -26,6 +28,28 @@ def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
     cfg.write_text("sede = 7\n")
     rc = main(["gen", "--out", str(tmp_path / "c"), "--config", str(cfg)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key", ["gaussian_sigma", "binarize_threshold", "canny_low",
+                                 "canny_high", "hough_min_line_frac", "min_window_w",
+                                 "min_window_h", "iou_dedup_threshold",
+                                 "window_conf_cutoff"])
+def test_detection_config_keys_are_usage_errors(tmp_path, capsys, key):
+    # these keys never reached the detector, so they are not accepted
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 10\n")
+    rc = main(["triage", "--bundle", str(tmp_path / "missing.bin"),
+               "--text", "printer is broken", "--config", str(cfg)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [["triage", "--text", "printer is broken"],
+                                  ["eval", "--corpus", "c"]])
+def test_seed_is_a_usage_error_on_triage_and_eval(tmp_path, capsys, argv):
+    # triage and eval draw no random numbers; --seed stays on gen and train
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bundle", str(tmp_path / "m.bin"), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_missing_bundle_is_a_runtime_failure(tmp_path, capsys):

@@ -50,6 +50,12 @@ def test_extract_entities_hex_code_family():
     assert e.error_code == "0x8004010F"
 
 
+def test_extract_entities_error_code_family_order_beats_position():
+    # the first pattern family that matches wins, not the earliest mention
+    e = extract_entities("0x80070005 and then Error 5", entity_dictionaries())
+    assert e.error_code == "Error 5"
+
+
 def test_extract_entities_word_boundaries():
     # "mac" must not match inside "machine"
     e = extract_entities("the machine reboots nightly", entity_dictionaries())
@@ -108,7 +114,7 @@ def test_fill_slots_preserves_original_as_subsequence():
 
 def test_slot_template_rejects_duplicate_names():
     with pytest.raises(ValueError):
-        SlotTemplate("x", (("a", "os"), ("a", "version")))
+        SlotTemplate((("a", "os"), ("a", "version")))
 
 
 def test_default_template_slot_names_unique():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tickettriage.classify import TfidfVectorizer
 from tickettriage.errors import ParameterError
 from tickettriage.recommend import (
     CATEGORY_SEP,
@@ -117,6 +118,7 @@ def _models(resolv_conf, cat_conf, resolv="net-ops", cat=None, subfield_conf=0.9
     cat = cat or compose_category("network", "vpn", "timeout")
     f1, f2, f3 = decompose_category(cat)
     return TriageModels(
+        vectorizer=TfidfVectorizer().fit(["vpn timeout"]),
         resolver_pair=(_Stub(resolv, resolv_conf), _Stub(resolv, resolv_conf)),
         category_pair=(_Stub(cat, cat_conf), _Stub(cat, cat_conf)),
         subfield_models={
@@ -233,3 +235,29 @@ def test_triage_cutoffs_respected(components):
                     adapter, pool, cutoffs)
     assert result.path == "long_tail"
     assert len(result.resolutions) <= 1
+
+
+def test_triage_vectorizes_each_ticket_once(bundle, monkeypatch):
+    """External tracers patch these attributes; a long-tail ticket is
+    transformed once and the row reaches both ensembles and all seven heads."""
+    from tickettriage import classify, recommend
+
+    calls = {}
+
+    def count(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(classify.TfidfVectorizer, "transform", "transform")
+    count(recommend, "ensemble_predict", "ensemble_predict")
+    count(classify.TextClassifierModel, "predict", "predict")
+
+    result = triage("Vpn drops every hour. VPN Client reported Error 789.",
+                    bundle.models, bundle.resolution_db, bundle.index, None, bundle.pool,
+                    TriageCutoffs(conf_prob=1.0))
+    assert result.path == "long_tail"
+    assert calls == {"transform": 1, "ensemble_predict": 2, "predict": 7}

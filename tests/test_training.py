@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from tickettriage.classify import TfidfVectorizer
 from tickettriage.errors import TrainingError
 from tickettriage.recommend import SUBFIELDS
 from tickettriage.training import enrich_text_only, train_bundle
@@ -27,6 +28,7 @@ def test_train_bundle_empty_corpus(tmp_path):
 
 
 def test_trained_bundle_is_complete(bundle):
+    assert isinstance(bundle.models.vectorizer, TfidfVectorizer)
     assert len(bundle.models.resolver_pair) == 2
     assert len(bundle.models.category_pair) == 2
     assert set(bundle.models.subfield_models) == set(SUBFIELDS)
@@ -40,7 +42,8 @@ def test_trained_bundle_is_complete(bundle):
 def test_trained_classifiers_route_clear_tickets(bundle):
     text = enrich_text_only(
         "Vpn drops every hour on Windows 10. VPN Client reported Error 789.")
-    label, conf = bundle.models.resolver_pair[0].predict(text)
+    label, conf = bundle.models.resolver_pair[0].predict(
+        bundle.models.vectorizer.transform([text]))
     assert label == "network-ops"
 
 
@@ -53,3 +56,19 @@ def test_training_is_deterministic(corpus_dir, bundle):
     for key in m1.params:
         assert np.array_equal(m1.params[key], m2.params[key])
     assert np.array_equal(bundle.filter_model.W1, again.filter_model.W1)
+
+
+def test_bundle_holds_one_vectorizer(bundle):
+    import io
+    import pickle
+
+    seen = set()
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, TfidfVectorizer):
+                seen.add(id(obj))
+            return None
+
+    Pickler(io.BytesIO(), protocol=4).dump(bundle)
+    assert seen == {id(bundle.models.vectorizer)}
