@@ -18,7 +18,9 @@ from .search import ResourcePool, SearchIndex
 from .textextract import Dictionary, WordLM
 
 MAGIC = b"TTRG"
-FORMAT_VERSION = 2  # 2: one tf-idf vectorizer on TriageModels, shared by all heads
+# 2: one tf-idf vectorizer on TriageModels, shared by all heads
+# 3: the search index pickles only its docs and rebuilds its arrays on load
+FORMAT_VERSION = 3
 
 
 @dataclass

@@ -126,6 +126,8 @@ def cmd_triage(args) -> int:
     from .recommend import TicketRecord, display_category, load_corpus, triage
     from .search import LocalWebAdapter
 
+    if args.text is None and not args.tickets:
+        raise ParameterError("triage needs --tickets or --text")
     cfg = _config_for(args, {"mode": args.mode, "top_n": args.top_n})
     mode = cfg.get("mode", "text")
     bundle = load_bundle(args.bundle)
@@ -134,10 +136,8 @@ def cmd_triage(args) -> int:
 
     if args.text is not None:
         records = [TicketRecord("cli-0", args.text, (), "", "-", "-", "-")]
-    elif args.tickets:
-        records = load_corpus(args.tickets)
     else:
-        raise ParameterError("triage needs --tickets or --text")
+        records = load_corpus(args.tickets)
 
     rows = []
     for record in records:

@@ -33,7 +33,10 @@ class EntitySet:
 
 
 class EntityDictionaries:
-    """Domain dictionaries: OS aliases, application names, components."""
+    """Domain dictionaries: OS aliases, application names, components.
+
+    Each term's word-boundary matcher is compiled once, here.
+    """
 
     def __init__(self, os_aliases: dict[str, str], apps: Sequence[str],
                  components: Sequence[str]):
@@ -41,11 +44,15 @@ class EntityDictionaries:
         self.os_aliases = {k.lower(): v for k, v in os_aliases.items()}
         self.apps = sorted(apps, key=lambda a: (-len(a), a))
         self.components = sorted(components, key=lambda c: (-len(c), c))
+        self.os_matchers = _matchers(sorted(self.os_aliases, key=lambda a: (-len(a), a)))
+        self.app_matchers = _matchers(self.apps)
+        self.component_matchers = _matchers(list(dict.fromkeys(self.components)))
 
-    @classmethod
-    def from_files(cls, os_path, apps_path, components_path) -> "EntityDictionaries":
-        return cls(_load_alias_file(os_path), _load_term_file(apps_path),
-                   _load_term_file(components_path))
+
+def _matchers(terms: Sequence[str]) -> list[tuple[str, re.Pattern]]:
+    """(term, word-boundary pattern) pairs, in the order given; the patterns
+    search lower-cased text."""
+    return [(t, re.compile(r"(?<!\w)" + re.escape(t.lower()) + r"(?!\w)")) for t in terms]
 
 
 def _load_term_file(path) -> list[str]:
@@ -78,13 +85,6 @@ _TRAILING_NUM_RE = re.compile(r"^\s*(\d+(?:\.\d+)*)\b")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
-def _find_term(text_lower: str, term: str) -> int:
-    """Word-boundary substring search; returns start index or -1."""
-    pattern = r"(?<!\w)" + re.escape(term.lower()) + r"(?!\w)"
-    m = re.search(pattern, text_lower)
-    return m.start() if m else -1
-
-
 def extract_entities(text: str, dictionaries: EntityDictionaries,
                      regex_rules: Optional[dict[str, str]] = None) -> EntitySet:
     """Longest-match dictionary scan + regex families for codes and versions."""
@@ -95,10 +95,10 @@ def extract_entities(text: str, dictionaries: EntityDictionaries,
 
     # OS: earliest alias occurrence; longest alias wins on equal position
     best = None
-    for alias in sorted(dictionaries.os_aliases, key=lambda a: (-len(a), a)):
-        pos = _find_term(lower, alias)
-        if pos >= 0 and (best is None or pos < best[0]):
-            best = (pos, alias)
+    for alias, pat in dictionaries.os_matchers:  # longest first
+        m = pat.search(lower)
+        if m and (best is None or m.start() < best[0]):
+            best = (m.start(), alias)
     if best is not None:
         pos, alias = best
         e.os = dictionaries.os_aliases[alias]
@@ -111,15 +111,19 @@ def extract_entities(text: str, dictionaries: EntityDictionaries,
             if embedded:
                 e.os_version = embedded.group(1)
 
-    for app in dictionaries.apps:  # longest first
-        if _find_term(lower, app) >= 0:
+    for app, pat in dictionaries.app_matchers:  # longest first
+        if pat.search(lower):
             e.app_name = app
             break
 
-    for comp in dictionaries.components:
-        if _find_term(lower, comp) >= 0 and comp not in e.components:
-            e.components.append(comp)
-    e.components.sort(key=lambda c: _find_term(lower, c))
+    # components by first mention; longest first on equal position
+    mentions: list[tuple[int, str]] = []
+    for comp, pat in dictionaries.component_matchers:
+        m = pat.search(lower)
+        if m:
+            mentions.append((m.start(), comp))
+    mentions.sort(key=lambda mc: mc[0])
+    e.components = [comp for _, comp in mentions]
 
     # the first pattern family that matches wins, not the earliest mention
     for pat in _ERROR_CODE_PATTERNS:

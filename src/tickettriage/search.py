@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .classify import tokenize
 
@@ -40,53 +43,114 @@ class IndexDoc:
 
 
 class SearchIndex:
-    """Inverted index with BM25 scoring and exact-match field filters."""
+    """Inverted index with BM25 scoring and exact-match field filters.
+
+    Each term keeps the ids of the docs it occurs in (int32) and its BM25
+    contribution to each of them, both computed once; a query sums them with
+    one bincount. Only `docs` is pickled: the arrays are rebuilt on load.
+    """
 
     def __init__(self, docs: Sequence[IndexDoc]):
         self.docs = list(docs)
-        self.postings: dict[str, list[tuple[int, int]]] = {}
-        self.doc_lens: list[int] = []
+        self._build()
+
+    def __getstate__(self) -> dict:
+        return {"docs": self.docs}
+
+    def __setstate__(self, state: dict) -> None:
+        self.docs = state["docs"]
+        self._build()
+
+    def _build(self) -> None:
+        n = len(self.docs)
+        vocab: dict[str, int] = {}
+        term_ids: list[int] = []
+        doc_ids: list[int] = []
+        tfs: list[int] = []
+        doc_lens: list[int] = []
         for i, doc in enumerate(self.docs):
             toks = tokenize(doc.text)
-            self.doc_lens.append(len(toks))
-            tf: dict[str, int] = {}
-            for t in toks:
-                tf[t] = tf.get(t, 0) + 1
-            for t in sorted(tf):
-                self.postings.setdefault(t, []).append((i, tf[t]))
-        self.avgdl = (sum(self.doc_lens) / len(self.doc_lens)) if self.docs else 0.0
+            doc_lens.append(len(toks))
+            for term, count in Counter(toks).items():
+                term_ids.append(vocab.setdefault(term, len(vocab)))
+                doc_ids.append(i)
+                tfs.append(count)
+        avgdl = sum(doc_lens) / n if n else 0.0
+        # group postings by term; doc ids stay ascending within a term
+        term_arr = np.asarray(term_ids, dtype=np.int64)
+        order = np.argsort(term_arr, kind="stable")
+        ids = np.asarray(doc_ids, dtype=np.int32)[order]
+        tf = np.asarray(tfs, dtype=np.float64)[order]
+        df = np.bincount(term_arr, minlength=len(vocab))
+        # math.log per term: np.log may round differently in the last bit
+        idf = np.array([math.log((n - k + 0.5) / (k + 0.5) + 1.0) for k in df.tolist()])
+        # the expression order of a per-posting loop, so every contribution
+        # (and, summed in query order, every score) is the same float
+        dl = np.asarray(doc_lens, dtype=np.float64)[ids]
+        norm = BM25_K1 * (1 - BM25_B + BM25_B * dl / avgdl)
+        contrib = np.repeat(idf, df) * tf * (BM25_K1 + 1) / (tf + norm)
+        bounds = np.cumsum(df)[:-1]
+        self._postings = dict(zip(vocab, zip(np.split(ids, bounds),
+                                             np.split(contrib, bounds))))
 
-    def _idf(self, term: str) -> float:
-        n = len(self.postings.get(term, ()))
-        return math.log((len(self.docs) - n + 0.5) / (n + 0.5) + 1.0)
+        # filters: per field, one code per doc; a doc without the field reads None
+        self._fields: dict[str, tuple[np.ndarray, dict]] = {}
+        for key in dict.fromkeys(k for doc in self.docs for k in doc.fields):
+            values: dict = {}
+            codes = [values.setdefault(doc.fields.get(key), len(values)) for doc in self.docs]
+            self._fields[key] = (np.asarray(codes, dtype=np.int32), values)
+        self._no_field = (np.zeros(n, dtype=np.int32), {None: 0})
+
+        # ranking tie-break: equal doc ids share a rank
+        rank = {doc_id: r for r, doc_id in enumerate(sorted({d.doc_id for d in self.docs}))}
+        self._id_rank = np.asarray([rank[d.doc_id] for d in self.docs], dtype=np.int64)
+
+    def _allowed(self, filter_fields: dict) -> np.ndarray:
+        """Mask of the docs whose fields equal every filter value."""
+        mask = np.ones(len(self.docs), dtype=bool)
+        for key, value in filter_fields.items():
+            codes, values = self._fields.get(key, self._no_field)
+            code = values.get(value)
+            if code is None:
+                return np.zeros(len(self.docs), dtype=bool)
+            mask &= codes == code
+        return mask
 
     def search(self, query: str, filter_fields: Optional[dict] = None,
                limit: int = 20) -> list[RankedResult]:
         """BM25 over docs passing the filters; d min-max normalized per query."""
-        if not self.docs:
+        hits = [self._postings[t] for t in tokenize(query) if t in self._postings]
+        if not hits:
             return []
-        allowed = None
+        ids = np.concatenate([h[0] for h in hits])
+        # bincount adds in input order: each score is the left-to-right sum
+        # of the doc's contributions in query-token order
+        scores = np.bincount(ids, np.concatenate([h[1] for h in hits]),
+                             minlength=len(self.docs))
         if filter_fields:
-            allowed = {
-                i for i, doc in enumerate(self.docs)
-                if all(doc.fields.get(k) == v for k, v in filter_fields.items())
-            }
-        scores: dict[int, float] = {}
-        for term in tokenize(query):
-            idf = self._idf(term)
-            for i, tf in self.postings.get(term, ()):
-                if allowed is not None and i not in allowed:
-                    continue
-                norm = BM25_K1 * (1 - BM25_B + BM25_B * self.doc_lens[i] / self.avgdl)
-                scores[i] = scores.get(i, 0.0) + idf * tf * (BM25_K1 + 1) / (tf + norm)
-        if not scores:
+            scores[~self._allowed(filter_fields)] = 0.0
+        # every contribution is positive (idf > 0, tf >= 1), so the docs the
+        # query touched are exactly those with a nonzero score
+        touched = np.flatnonzero(scores)
+        if 0 < limit < touched.size:  # only docs tied with the limit-th best or above can rank
+            kth = np.partition(scores[touched], touched.size - limit)[touched.size - limit]
+            touched = touched[scores[touched] >= kth]
+        if not touched.size:
             return []
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], self.docs[kv[0]].doc_id))
-        ranked = ranked[:limit]
-        raw = [s for _, s in ranked]
+        score, rank = scores[touched], self._id_rank[touched]
+        keys = [rank, -score]
+        if np.unique(rank).size < rank.size:
+            # docs sharing an id and a score rank in the order the query first
+            # touched them; found only when ids repeat, as it scans every hit
+            in_touched = np.zeros(len(self.docs), dtype=bool)
+            in_touched[touched] = True
+            at = np.flatnonzero(in_touched[ids])
+            keys.insert(0, at[np.unique(ids[at], return_index=True)[1]])
+        order = np.lexsort(keys)[:limit]
+        top, raw = touched[order].tolist(), score[order].tolist()
         lo, hi = min(raw), max(raw)
         out = []
-        for i, s in ranked:
+        for i, s in zip(top, raw):
             d = 1.0 if hi == lo else (s - lo) / (hi - lo)
             doc = self.docs[i]
             snippet = doc.resolution or doc.text[:160]
@@ -201,11 +265,14 @@ def cori_score(d: float, c: float) -> float:
 
 def cori_merge(results: Sequence[RankedResult], resource_scores: dict[str, float],
                top_n: int = 5) -> list[RankedResult]:
-    """Score every result with its resource's c, re-rank, truncate to top_n."""
-    scored = [
-        replace(r, c=resource_scores.get(r.source, 0.5),
-                cori_score=cori_score(r.d, resource_scores.get(r.source, 0.5)))
-        for r in results
-    ]
-    scored.sort(key=lambda r: (-r.cori_score, r.source, r.doc_id))
-    return scored[:top_n]
+    """Score every result with its resource's c, re-rank, truncate to top_n.
+
+    Only the top_n survivors are rebuilt with their c and cori_score.
+    """
+    keyed = []
+    for pos, r in enumerate(results):
+        c = resource_scores.get(r.source, 0.5)
+        keyed.append((-cori_score(r.d, c), r.source, r.doc_id, pos, c))
+    keyed.sort()
+    return [replace(results[pos], c=c, cori_score=-neg)
+            for neg, _, _, pos, c in keyed[:top_n]]

@@ -1,0 +1,81 @@
+"""Federated search as first written: dict/tuple posting lists walked in
+Python, and a CORI merge that rebuilds every result before truncating.
+
+Kept verbatim as the reference the array-backed package code must match
+exactly; see test_search_oracle.py.
+"""
+
+import math
+from dataclasses import replace
+from typing import Optional, Sequence
+
+from tickettriage.classify import tokenize
+from tickettriage.search import BM25_B, BM25_K1, IndexDoc, RankedResult, cori_score
+
+
+class SearchIndex:
+    """Inverted index with BM25 scoring and exact-match field filters."""
+
+    def __init__(self, docs: Sequence[IndexDoc]):
+        self.docs = list(docs)
+        self.postings: dict[str, list[tuple[int, int]]] = {}
+        self.doc_lens: list[int] = []
+        for i, doc in enumerate(self.docs):
+            toks = tokenize(doc.text)
+            self.doc_lens.append(len(toks))
+            tf: dict[str, int] = {}
+            for t in toks:
+                tf[t] = tf.get(t, 0) + 1
+            for t in sorted(tf):
+                self.postings.setdefault(t, []).append((i, tf[t]))
+        self.avgdl = (sum(self.doc_lens) / len(self.doc_lens)) if self.docs else 0.0
+
+    def _idf(self, term: str) -> float:
+        n = len(self.postings.get(term, ()))
+        return math.log((len(self.docs) - n + 0.5) / (n + 0.5) + 1.0)
+
+    def search(self, query: str, filter_fields: Optional[dict] = None,
+               limit: int = 20) -> list[RankedResult]:
+        """BM25 over docs passing the filters; d min-max normalized per query."""
+        if not self.docs:
+            return []
+        allowed = None
+        if filter_fields:
+            allowed = {
+                i for i, doc in enumerate(self.docs)
+                if all(doc.fields.get(k) == v for k, v in filter_fields.items())
+            }
+        scores: dict[int, float] = {}
+        for term in tokenize(query):
+            idf = self._idf(term)
+            for i, tf in self.postings.get(term, ()):
+                if allowed is not None and i not in allowed:
+                    continue
+                norm = BM25_K1 * (1 - BM25_B + BM25_B * self.doc_lens[i] / self.avgdl)
+                scores[i] = scores.get(i, 0.0) + idf * tf * (BM25_K1 + 1) / (tf + norm)
+        if not scores:
+            return []
+        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], self.docs[kv[0]].doc_id))
+        ranked = ranked[:limit]
+        raw = [s for _, s in ranked]
+        lo, hi = min(raw), max(raw)
+        out = []
+        for i, s in ranked:
+            d = 1.0 if hi == lo else (s - lo) / (hi - lo)
+            doc = self.docs[i]
+            snippet = doc.resolution or doc.text[:160]
+            out.append(RankedResult(doc.doc_id, snippet, "ticket_corpus", d,
+                                    category=doc.category))
+        return out
+
+
+def cori_merge(results: Sequence[RankedResult], resource_scores: dict[str, float],
+               top_n: int = 5) -> list[RankedResult]:
+    """Score every result with its resource's c, re-rank, truncate to top_n."""
+    scored = [
+        replace(r, c=resource_scores.get(r.source, 0.5),
+                cori_score=cori_score(r.d, resource_scores.get(r.source, 0.5)))
+        for r in results
+    ]
+    scored.sort(key=lambda r: (-r.cori_score, r.source, r.doc_id))
+    return scored[:top_n]

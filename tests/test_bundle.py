@@ -56,6 +56,17 @@ def test_load_rejects_format_version_1(bundle, tmp_path):
         load_bundle(str(path))
 
 
+def test_load_rejects_format_version_2(bundle, tmp_path):
+    # version 2 bundles pickled the search index's posting lists
+    path = tmp_path / "m.bin"
+    save_bundle(bundle, str(path))
+    data = bytearray(path.read_bytes())
+    data[4] = 2
+    path.write_bytes(bytes(data))
+    with pytest.raises(ConsistencyError):
+        load_bundle(str(path))
+
+
 def test_load_rejects_bundle_without_vectorizer(bundle, tmp_path):
     import copy
     broken = copy.copy(bundle)

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tickettriage.cli import main
+from tickettriage.cli import build_parser, main
 
 
 def test_savings_command_prints_hours_and_note(capsys):
@@ -56,6 +58,33 @@ def test_missing_bundle_is_a_runtime_failure(tmp_path, capsys):
     rc = main(["triage", "--bundle", str(tmp_path / "missing.bin"),
                "--text", "printer is broken"])
     assert rc == 3
+
+
+def test_triage_without_input_is_a_usage_error_before_loading(tmp_path, capsys):
+    # the missing bundle is never opened: the usage error comes first
+    rc = main(["triage", "--bundle", str(tmp_path / "missing.bin")])
+    assert rc == 2
+    assert "--tickets or --text" in capsys.readouterr().err
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("tickettriage "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"gen", "train", "triage", "eval", "savings"}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command == "triage":
+            assert args.tickets or args.text, argv
 
 
 def test_triage_single_text(bundle_path, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from tickettriage.enrichment import (
     DEFAULT_TEMPLATE,
+    EntityDictionaries,
     EntitySet,
     SlotTemplate,
     correlate,
@@ -60,6 +61,20 @@ def test_extract_entities_word_boundaries():
     # "mac" must not match inside "machine"
     e = extract_entities("the machine reboots nightly", entity_dictionaries())
     assert e.os is None
+
+
+def test_extract_entities_dictionary_rules():
+    d = EntityDictionaries({"Win": "Windows", "Win 10": "Windows 10", "Ubuntu": "Linux"},
+                           ["Mail", "Mail Sync"],
+                           ["disk", "disk driver", "network", "disk"])
+    # OS: the earliest alias wins; on a tie, the longest
+    assert extract_entities("Win 10 then Ubuntu", d).os == "Windows 10"
+    assert extract_entities("Ubuntu then Win 10", d).os == "Linux"
+    # app: the first match in longest-first order, wherever it is
+    assert extract_entities("mail fails; Mail Sync too", d).app_name == "Mail Sync"
+    # components: by first mention, longest first on equal position, no repeats
+    e = extract_entities("network disk driver failure, disk full", d)
+    assert e.components == ["network", "disk driver", "disk"]
 
 
 def test_extract_entities_empty_text():
