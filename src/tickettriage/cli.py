@@ -77,14 +77,19 @@ def _config_for(args: argparse.Namespace, keys: dict) -> dict:
     return merged_config(file_values, keys)
 
 
+# config key -> TriageCutoffs field; unset keys keep the dataclass defaults
+_CUTOFF_KEYS = {
+    "conf_resolv_cutoff": "conf_resolv",
+    "conf_prob_cutoff": "conf_prob",
+    "conf_subfield_cutoff": "conf_subfield",
+    "top_n": "top_n",
+}
+
+
 def _cutoffs(cfg: dict):
     from .recommend import TriageCutoffs
-    return TriageCutoffs(
-        conf_resolv=cfg.get("conf_resolv_cutoff", 0.7),
-        conf_prob=cfg.get("conf_prob_cutoff", 0.7),
-        conf_subfield=cfg.get("conf_subfield_cutoff", 0.6),
-        top_n=cfg.get("top_n", 5),
-    )
+    return TriageCutoffs(**{field: cfg[key] for key, field in _CUTOFF_KEYS.items()
+                            if key in cfg})
 
 
 def _write_rows(rows, out_path):

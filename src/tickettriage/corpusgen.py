@@ -25,8 +25,8 @@ from . import font
 from .fixtures import TAXONOMY, CategoryProfile
 from .imaging import Rect
 from .raster import write_ppm
-from .recommend import TicketRecord, compose_category
-from .synthgen import SceneSpec, WindowSpec, render_scene, scene_to_json
+from .recommend import ResolutionDB, TicketRecord, compose_category, save_corpus
+from .synthgen import GroundTruth, SceneSpec, WindowSpec, render_scene, scene_to_json
 
 _OS_VERSIONS = {
     "Windows": ("10", "11"),
@@ -81,8 +81,7 @@ def _info_scene(rng: np.random.RandomState, p: CategoryProfile, os_name: str,
     return SceneSpec(canvas_w, canvas_h, background, (window,), seed)
 
 
-def _gt_record(ticket_id: str, path: str, spec: SceneSpec) -> dict:
-    _, gt = render_scene(spec)
+def _gt_record(ticket_id: str, path: str, spec: SceneSpec, gt: GroundTruth) -> dict:
     return {
         "ticket_id": ticket_id,
         "path": path,
@@ -122,11 +121,11 @@ def generate_corpus(out_dir: str, seed: int, count: int,
         if image_only or rng.rand() < redundant_image_fraction:
             spec = _info_scene(rng, profile, os_name, ver,
                                seed=(seed * 100003 + i) & 0x7FFFFFFF)
-            img, _ = render_scene(spec)
+            img, gt = render_scene(spec)
             rel = os.path.join("scenes", f"{ticket_id}.ppm")
             write_ppm(img, os.path.join(out_dir, rel))
             attachments = (rel,)
-            gt_lines.append(json.dumps(_gt_record(ticket_id, rel, spec),
+            gt_lines.append(json.dumps(_gt_record(ticket_id, rel, spec, gt),
                                        sort_keys=True))
 
         resolution: Optional[str] = (
@@ -138,9 +137,7 @@ def generate_corpus(out_dir: str, seed: int, count: int,
         ))
 
     tickets_path = os.path.join(out_dir, "tickets.jsonl")
-    with open(tickets_path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(r.to_json() + "\n")
+    save_corpus(records, tickets_path)
 
     gt_path = os.path.join(out_dir, "gt.jsonl")
     with open(gt_path, "w", encoding="utf-8") as fh:
@@ -157,9 +154,8 @@ def generate_corpus(out_dir: str, seed: int, count: int,
             fh.write(json.dumps(page, sort_keys=True) + "\n")
 
     res_path = os.path.join(out_dir, "resolutions.json")
-    with open(res_path, "w", encoding="utf-8") as fh:
-        db = {compose_category(*p.fields): p.resolution for p in TAXONOMY if p.head}
-        json.dump(db, fh, sort_keys=True, indent=1, ensure_ascii=False)
+    ResolutionDB({compose_category(*p.fields): p.resolution
+                  for p in TAXONOMY if p.head}).save(res_path)
 
     return {"tickets": tickets_path, "gt": gt_path, "webpages": web_path,
             "resolutions": res_path, "scenes_dir": scenes_dir}

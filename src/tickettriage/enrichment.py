@@ -1,6 +1,7 @@
 """Ticket text enrichment: dictionary/regex entity extraction, correlation
-of text- and image-derived entities (ticket text wins conflicts), and
-slot-based template insertion of the form "[<slot> = value]".
+of text- and image-derived entities (ticket text wins conflicts), and slot
+insertion of the form "[<slot> = value]" for the seven slots of SLOTS, in
+that order: errmsg, errcode, appname, os, osver, component, version.
 
 Enrichment only ever inserts, so the original text stays a subsequence of
 the enriched text.
@@ -24,12 +25,6 @@ class EntitySet:
     version: Optional[str] = None
     error_code: Optional[str] = None
     error_message: Optional[str] = None
-    extra_slots: dict[str, str] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not any((self.os, self.os_version, self.app_name, self.components,
-                        self.version, self.error_code, self.error_message,
-                        self.extra_slots))
 
 
 class EntityDictionaries:
@@ -85,8 +80,7 @@ _TRAILING_NUM_RE = re.compile(r"^\s*(\d+(?:\.\d+)*)\b")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
-def extract_entities(text: str, dictionaries: EntityDictionaries,
-                     regex_rules: Optional[dict[str, str]] = None) -> EntitySet:
+def extract_entities(text: str, dictionaries: EntityDictionaries) -> EntitySet:
     """Longest-match dictionary scan + regex families for codes and versions."""
     e = EntitySet()
     if not text:
@@ -140,11 +134,6 @@ def extract_entities(text: str, dictionaries: EntityDictionaries,
     m = _VERSION_RE.search(text)
     if m:
         e.version = m.group(0)
-
-    for name, pattern in sorted((regex_rules or {}).items()):
-        m = re.search(pattern, text)
-        if m:
-            e.extra_slots[name] = m.group(1) if m.groups() else m.group(0)
     return e
 
 
@@ -159,9 +148,6 @@ def correlate(text_entities: EntitySet, image_entities: EntitySet,
     for comp in image_entities.components:
         if comp not in merged.components:
             merged.components.append(comp)
-
-    merged.extra_slots = dict(image_entities.extra_slots)
-    merged.extra_slots.update(text_entities.extra_slots)
 
     if merged.os is None:
         for det in image_detections:
@@ -179,18 +165,8 @@ def correlate(text_entities: EntitySet, image_entities: EntitySet,
 # ---------------------------------------------------------------------------
 # slot filling
 
-@dataclass(frozen=True)
-class SlotTemplate:
-    # ordered (slot_name, entity_field); entity_field "extra:<key>" reads extra_slots
-    slots: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        names = [n for n, _ in self.slots]
-        if len(names) != len(set(names)):
-            raise ValueError("slot names must be unique within a template")
-
-
-DEFAULT_TEMPLATE = SlotTemplate((
+# (slot name, EntitySet field), in insertion order
+SLOTS = (
     ("errmsg", "error_message"),
     ("errcode", "error_code"),
     ("appname", "app_name"),
@@ -198,7 +174,7 @@ DEFAULT_TEMPLATE = SlotTemplate((
     ("osver", "os_version"),
     ("component", "components"),
     ("version", "version"),
-))
+)
 
 
 @dataclass
@@ -210,26 +186,18 @@ class EnrichedTicket:
 
 
 def _slot_values(e: EntitySet, entity_field: str) -> list[str]:
-    if entity_field.startswith("extra:"):
-        v = e.extra_slots.get(entity_field[6:])
-        return [v] if v else []
     value = getattr(e, entity_field)
     if value is None:
         return []
     return list(value) if isinstance(value, list) else [value]
 
 
-def fill_slots(ticket_text: str, e: EntitySet,
-               template: SlotTemplate = DEFAULT_TEMPLATE) -> EnrichedTicket:
+def fill_slots(ticket_text: str, e: EntitySet) -> EnrichedTicket:
     """Insert "[<slot> = value]" after the first mention of each filled value,
     or collect unmentioned values in an "Extracted context:" trailer."""
     enriched = ticket_text
     trailer: list[str] = []
-    slots = template.slots + tuple(
-        (name, f"extra:{name}") for name in sorted(e.extra_slots)
-        if name not in {n for n, _ in template.slots}
-    )
-    for slot_name, entity_field in slots:
+    for slot_name, entity_field in SLOTS:
         for value in _slot_values(e, entity_field):
             annotation = f"[<{slot_name}> = {value}]"
             pos = enriched.lower().find(value.lower())
@@ -248,9 +216,7 @@ def fill_slots(ticket_text: str, e: EntitySet,
 
 def enrich_multimodal(ticket_text: str, images, detection_params, filter_model,
                       category_model, dictionaries: EntityDictionaries,
-                      lm=None, ocr_engine=None, app_dictionary=None,
-                      template: SlotTemplate = DEFAULT_TEMPLATE,
-                      regex_rules: Optional[dict[str, str]] = None) -> EnrichedTicket:
+                      lm=None, app_dictionary=None) -> EnrichedTicket:
     """Run the image pipeline over attachments and enrich the ticket text."""
     from .imaging import detect_windows
     from .textextract import correct_token, lm_correct_sequence, ocr_window
@@ -259,18 +225,17 @@ def enrich_multimodal(ticket_text: str, images, detection_params, filter_model,
     for img in images:
         detections = detect_windows(img, detection_params, filter_model, category_model)
         for det in detections:
-            occluders = [d.rect for d in detections if d is not det]
-            tokens = ocr_window(img, det.rect, ocr_engine, occluders)
+            tokens = ocr_window(img, det.rect)
             if app_dictionary is not None:
                 tokens = [correct_token(t, app_dictionary) if t.confidence < 1.0 else t
                           for t in tokens]
             tokens = lm_correct_sequence(tokens, lm)
             windows.append((det, " ".join(t.text for t in tokens)))
 
-    text_entities = extract_entities(ticket_text, dictionaries, regex_rules)
+    text_entities = extract_entities(ticket_text, dictionaries)
     image_text = "\n".join(text for _, text in windows)
-    image_entities = extract_entities(image_text, dictionaries, regex_rules)
+    image_entities = extract_entities(image_text, dictionaries)
     merged = correlate(text_entities, image_entities, [d for d, _ in windows])
-    enriched = fill_slots(ticket_text, merged, template)
+    enriched = fill_slots(ticket_text, merged)
     enriched.image_windows = windows
     return enriched

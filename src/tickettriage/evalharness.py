@@ -76,8 +76,7 @@ def evaluate_detection(scenes: Sequence[tuple[Raster, GroundTruth]],
         counts[2] += fn
         blurred = blurred_gray(img, params)
         for name, fetch in (("contour", detect_contour_boxes), ("edge", detect_edge_boxes)):
-            rtp, rfp, rfn = match_boxes([b.rect for b in fetch(img, params, blurred=blurred)],
-                                        gold)
+            rtp, rfp, rfn = match_boxes([b.rect for b in fetch(blurred, params)], gold)
             raw_counts[name][0] += rtp
             raw_counts[name][1] += rfp
             raw_counts[name][2] += rfn
@@ -99,10 +98,10 @@ def evaluate_detection(scenes: Sequence[tuple[Raster, GroundTruth]],
 # ---------------------------------------------------------------------------
 # OCR accuracy
 
-def ocr_accuracy(img: Raster, window_rect: Rect, gold_tokens: Sequence[str],
-                 engine=None) -> tuple[float, float]:
+def ocr_accuracy(img: Raster, window_rect: Rect,
+                 gold_tokens: Sequence[str]) -> tuple[float, float]:
     """(token accuracy, character accuracy) of OCR output vs expected tokens."""
-    got = [t.text for t in ocr_window(img, window_rect, engine)]
+    got = [t.text for t in ocr_window(img, window_rect)]
     matcher = difflib.SequenceMatcher(a=gold_tokens, b=got, autojunk=False)
     matched = sum(block.size for block in matcher.get_matching_blocks())
     token_acc = matched / len(gold_tokens) if gold_tokens else 1.0

@@ -167,8 +167,3 @@ TAXONOMY: tuple[CategoryProfile, ...] = (
         "reference to the analysis library.",
     ),
 )
-
-HEAD_PROFILES = tuple(p for p in TAXONOMY if p.head)
-TAIL_PROFILES = tuple(p for p in TAXONOMY if not p.head)
-
-RESOLVER_GROUPS = tuple(sorted({p.resolver_group for p in TAXONOMY}))

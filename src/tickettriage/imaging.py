@@ -192,15 +192,12 @@ def blurred_gray(img: Raster, p: DetectionParams) -> GrayRaster:
     return gaussian_blur(to_grayscale(img), p.gaussian_sigma)
 
 
-def detect_contour_boxes(img: Raster, p: DetectionParams,
-                         blurred: Optional[GrayRaster] = None) -> list[CandidateBox]:
-    """Grayscale -> blur -> binarize -> component border tracing -> rectangle test.
-
-    `blurred` is blurred_gray(img, p) when the caller already has it.
-    """
-    gray = blurred if blurred is not None else blurred_gray(img, p)
-    threshold = p.binarize_threshold if p.binarize_threshold is not None else otsu_threshold(gray)
-    white = gray.array >= threshold  # the pixels binarize() sets to 255
+def detect_contour_boxes(blurred: GrayRaster, p: DetectionParams) -> list[CandidateBox]:
+    """Binarize -> component border tracing -> rectangle test, on
+    blurred_gray(img, p)."""
+    threshold = (p.binarize_threshold if p.binarize_threshold is not None
+                 else otsu_threshold(blurred))
+    white = blurred.array >= threshold  # the pixels binarize() sets to 255
 
     boxes: list[CandidateBox] = []
     for mask in (white, ~white):
@@ -216,7 +213,7 @@ def detect_contour_boxes(img: Raster, p: DetectionParams,
             area = int(areas[i])
             if w < 8 or h < 8:
                 continue
-            if w * h >= 0.9 * img.width * img.height:
+            if w * h >= 0.9 * blurred.width * blurred.height:
                 continue  # the desktop background, not a window
             if area / (w * h) < _RECT_FILL_RATIO:
                 continue
@@ -231,17 +228,13 @@ def detect_contour_boxes(img: Raster, p: DetectionParams,
 # ---------------------------------------------------------------------------
 # Canny + line clustering detector
 
-def canny_edges(gray: GrayRaster, sigma: float, low: float, high: float) -> np.ndarray:
-    """Canny edge map: Sobel gradients, NMS, double-threshold hysteresis."""
-    return _canny_blurred(gaussian_blur(gray, sigma), low, high)
-
-
 _TAN_22_5 = math.tan(math.pi / 8)
 _TAN_67_5 = math.tan(3 * math.pi / 8)
 
 
-def _canny_blurred(blurred: GrayRaster, low: float, high: float) -> np.ndarray:
-    """canny_edges of an image that is already blurred."""
+def canny_edges(blurred: GrayRaster, low: float, high: float) -> np.ndarray:
+    """Canny edge map of a blurred image: Sobel gradients, NMS,
+    double-threshold hysteresis."""
     h, w = blurred.array.shape
     gp = np.pad(blurred.array.astype(np.int32), 1, mode="edge")
     gx = (gp[:-2, 2:] + 2 * gp[1:-1, 2:] + gp[2:, 2:]
@@ -428,23 +421,18 @@ def _suppress_clouds(rects: np.ndarray, scores: np.ndarray) -> list[Rect]:
     return [Rect(*row) for row in rects[kept].tolist()]
 
 
-def detect_edge_boxes(img: Raster, p: DetectionParams,
-                      blurred: Optional[GrayRaster] = None) -> list[CandidateBox]:
-    """Canny edges -> horizontal/vertical line runs -> rectangle clustering.
-
-    `blurred` is blurred_gray(img, p) when the caller already has it.
-    """
-    if blurred is None:
-        blurred = blurred_gray(img, p)
-    edges = _canny_blurred(blurred, p.canny_low, p.canny_high)
-    min_h_len = max(8, int(p.hough_min_line_frac * img.width))
-    min_v_len = max(8, int(p.hough_min_line_frac * img.height))
+def detect_edge_boxes(blurred: GrayRaster, p: DetectionParams) -> list[CandidateBox]:
+    """Canny edges -> horizontal/vertical line runs -> rectangle clustering, on
+    blurred_gray(img, p)."""
+    edges = canny_edges(blurred, p.canny_low, p.canny_high)
+    min_h_len = max(8, int(p.hough_min_line_frac * blurred.width))
+    min_v_len = max(8, int(p.hough_min_line_frac * blurred.height))
 
     hlines = _merge_lines(_row_segments(_thicken(edges, 0), min_h_len))
     vlines = _merge_lines(_row_segments(_thicken(edges, 1).T, min_v_len))
     if max(len(hlines), len(vlines)) > MAX_LINES_PER_AXIS:
         log.warning("edge detector skipped a line-dense %dx%d image: %d h-lines, "
-                    "%d v-lines (cap %d per axis)", img.width, img.height,
+                    "%d v-lines (cap %d per axis)", blurred.width, blurred.height,
                     len(hlines), len(vlines), MAX_LINES_PER_AXIS)
         return []
 
@@ -742,8 +730,7 @@ def detect_windows(img: Raster, p: DetectionParams,
                    category_model: WindowCategoryModel) -> list[WindowDetection]:
     """Ensemble of both detectors -> size filter -> window filter -> dedup -> categorize."""
     blurred = blurred_gray(img, p)
-    candidates = (detect_contour_boxes(img, p, blurred=blurred)
-                  + detect_edge_boxes(img, p, blurred=blurred))
+    candidates = detect_contour_boxes(blurred, p) + detect_edge_boxes(blurred, p)
     clamped = []
     for c in candidates:
         r = _clamp_rect(c.rect, img)

@@ -116,7 +116,7 @@ class ResolutionDB:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, sort_keys=True, indent=1)
+            json.dump(self.entries, fh, sort_keys=True, indent=1, ensure_ascii=False)
 
 
 @dataclass

@@ -118,9 +118,11 @@ class SearchIndex:
 
     def search(self, query: str, filter_fields: Optional[dict] = None,
                limit: int = 20) -> list[RankedResult]:
-        """BM25 over docs passing the filters; d min-max normalized per query."""
+        """BM25 over docs passing the filters; d min-max normalized per query.
+
+        A limit below 1 asks for no results."""
         hits = [self._postings[t] for t in tokenize(query) if t in self._postings]
-        if not hits:
+        if not hits or limit < 1:
             return []
         ids = np.concatenate([h[0] for h in hits])
         # bincount adds in input order: each score is the left-to-right sum
@@ -132,7 +134,7 @@ class SearchIndex:
         # every contribution is positive (idf > 0, tf >= 1), so the docs the
         # query touched are exactly those with a nonzero score
         touched = np.flatnonzero(scores)
-        if 0 < limit < touched.size:  # only docs tied with the limit-th best or above can rank
+        if limit < touched.size:  # only docs tied with the limit-th best or above can rank
             kth = np.partition(scores[touched], touched.size - limit)[touched.size - limit]
             touched = touched[scores[touched] >= kth]
         if not touched.size:
@@ -185,8 +187,11 @@ class LocalWebAdapter:
 def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedResult]:
     """Invoke the adapter; dedupe ids keeping the max score; min-max normalize.
 
-    Adapter failure degrades to an empty list with a logged warning.
+    Adapter failure degrades to an empty list with a logged warning; a limit
+    below 1 asks for no results and does not call the adapter.
     """
+    if limit < 1:
+        return []
     try:
         raw = adapter(query)
     except Exception as exc:  # degraded mode, never fatal

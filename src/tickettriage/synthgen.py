@@ -376,13 +376,3 @@ def scene_to_json(spec: SceneSpec) -> str:
             for w in spec.windows
         ],
     }, sort_keys=True)
-
-
-def scene_from_json(line: str) -> SceneSpec:
-    d = json.loads(line)
-    windows = tuple(
-        WindowSpec(Rect(w["x"], w["y"], w["w"], w["h"]), w["z"], w["theme"],
-                   w["kind"], w["title"], tuple(w["body_lines"]), w["has_buttons"])
-        for w in d["windows"]
-    )
-    return SceneSpec(d["canvas_w"], d["canvas_h"], d["background"], windows, d["seed"])

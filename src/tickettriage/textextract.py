@@ -1,10 +1,11 @@
 """Text extraction from detected windows and OCR post-correction.
 
-The OCR engine contract is a callable (Raster, Rect, occluders) -> list of
-OcrToken. The built-in engine recognizes the renderer's fixed 5x7 font by
-template matching, so it is exact on clean synthetic renders. Post-correction
-is two-stage: dictionary edit-distance for short names, then a word-level
-n-gram language model for low-confidence tokens and occlusion gaps.
+The OCR engine reads one window: GlyphOcrEngine()(image, rect) -> list of
+OcrToken. It recognizes the renderer's fixed 5x7 font by template matching,
+so it is exact on clean synthetic renders, and marks solidly covered cells
+as occlusion gaps. Post-correction is two-stage: dictionary edit-distance
+for short names, then a word-level n-gram language model for low-confidence
+tokens and occlusion gaps.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ class GlyphOcrEngine:
 
     margin = 2  # skip window border pixels
 
-    def __call__(self, img: Raster, r: Rect,
-                 occluders: Sequence[Rect] = ()) -> list[OcrToken]:
+    def __call__(self, img: Raster, r: Rect) -> list[OcrToken]:
         if not r.within_image(img):
             raise ParameterError(f"rect {r} outside image")
         m = self.margin
@@ -147,36 +147,22 @@ class GlyphOcrEngine:
             run_chars: list[tuple[str, float]] = []
             run_start = 0
             for k in range(n_cells + 1):
-                at_end = k == n_cells
-                blank = at_end or cell_bits[k] == 0
-                if blank:
-                    if run_chars:
-                        tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
-                        run_chars = []
-                    run_start = k + 1
+                bits = cell_bits[k] if k < n_cells else 0
+                solid = bits.bit_count() >= 26
+                # a solidly filled cell with a poor match is an occluded region;
+                # title-bar buttons land on the glyph grid and read as spacing
+                occluded = solid and cells[k][1] < 0.6
+                button = not solid and _is_decoration(bits)
+                if bits and not occluded and not button:
+                    run_chars.append(cells[k])
                     continue
-                ch, conf = cells[k]
-                bits = cell_bits[k]
-                # title-bar buttons land on the glyph grid; treat as spacing
-                if _is_decoration(bits) and bits.bit_count() < 26:
-                    if run_chars:
-                        tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
-                        run_chars = []
-                    run_start = k + 1
-                    continue
-                # solidly-filled cell with a poor match = occluded region
-                if bits.bit_count() >= 26 and conf < 0.6:
-                    if run_chars:
-                        tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
-                        run_chars = []
-                    tokens.append(OcrToken(
-                        OCCLUDED_MARK,
-                        self._token_rect(r, m, x0, k, 1, top),
-                        0.0,
-                    ))
-                    run_start = k + 1
-                    continue
-                run_chars.append((ch, conf))
+                if run_chars:
+                    tokens.append(self._emit(run_chars, r, m, x0, run_start, top))
+                    run_chars = []
+                if occluded:
+                    tokens.append(OcrToken(OCCLUDED_MARK,
+                                           self._token_rect(r, m, x0, k, 1, top), 0.0))
+                run_start = k + 1
         return tokens
 
     @staticmethod
@@ -191,24 +177,22 @@ class GlyphOcrEngine:
         return OcrToken(text, self._token_rect(r, m, x0, start_cell, len(run_chars), top), conf)
 
 
-def ocr_window(img: Raster, r: Rect, engine=None,
-               occluders: Sequence[Rect] = ()) -> list[OcrToken]:
-    """Run an OCR engine over the window crop at r.
+def ocr_window(img: Raster, r: Rect) -> list[OcrToken]:
+    """Run the OCR engine over the window crop at r.
 
     Detected rects can be a pixel or two off the true frame, which drags the
     window border into the crop and starves the line segmenter; retry on
     slightly inset crops before giving up.
     """
-    if engine is None:
-        engine = GlyphOcrEngine()
-    tokens = engine(img, r, occluders)
+    engine = GlyphOcrEngine()
+    tokens = engine(img, r)
     for inset in (1, 2, 3, 4):
         if tokens:
             break
         if r.w <= 2 * inset + 1 or r.h <= 2 * inset + 1:
             break
         shrunk = Rect(r.x + inset, r.y + inset, r.w - 2 * inset, r.h - 2 * inset)
-        tokens = engine(img, shrunk, occluders)
+        tokens = engine(img, shrunk)
     return tokens
 
 
@@ -236,11 +220,6 @@ class Dictionary:
         if not self.entries:
             raise ParameterError("dictionary must not be empty")
         self._lower = {e.lower(): e for e in self.entries}
-
-    @classmethod
-    def from_file(cls, path) -> "Dictionary":
-        with open(path, encoding="utf-8") as fh:
-            return cls(line.split("->")[0] for line in fh if line.strip())
 
     def lookup(self, term: str) -> Optional[str]:
         return self._lower.get(term.lower())
@@ -352,7 +331,7 @@ def lm_correct_sequence(tokens: Sequence[OcrToken], lm: Optional[WordLM],
         text = tok.text
         if text == OCCLUDED_MARK:
             if lm.vocab:
-                text = min(lm.vocab, key=lambda w: (-lm.prob(w, prev_word), w))
+                text = lm.predict(prev_word)
                 out.append(OcrToken(text, tok.rect, tok.confidence))
             else:
                 out.append(tok)

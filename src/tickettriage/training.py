@@ -51,18 +51,18 @@ def _lm_corpus() -> list[str]:
     return lines
 
 
-def _window_training_set(seed: int, n_scenes: int = 400,
-                         params: DetectionParams | None = None):
+def _window_training_set(seed: int):
     """Window-filter training data mined from the detectors' own candidates:
     every size-filtered candidate box is labeled by IoU against the ground
     truth, so the filter learns the exact false-positive distribution it will
     see at detection time. Ground-truth boxes are added as extra positives
-    and provide the category labels."""
+    and provide the category labels. The scenes are 400 seeded renders, and
+    the detectors run with the DetectionParams() that train_bundle stores."""
     from .imaging import (blurred_gray, detect_contour_boxes, detect_edge_boxes,
                           iou, size_filter)
-    params = params or DetectionParams()
+    params = DetectionParams()
     X, y, X_cat, app_labels, os_labels = [], [], [], [], []
-    for k in range(n_scenes):
+    for k in range(400):
         spec = random_scene(seed * 1009 + k, n_windows=1 + k % 3, overlap="light")
         img, gt = render_scene(spec)
         gold = [r for r, _, _ in gt.boxes]
@@ -75,8 +75,7 @@ def _window_training_set(seed: int, n_scenes: int = 400,
             os_labels.append(theme)
         blurred = blurred_gray(img, params)
         candidates = size_filter(
-            detect_contour_boxes(img, params, blurred=blurred)
-            + detect_edge_boxes(img, params, blurred=blurred),
+            detect_contour_boxes(blurred, params) + detect_edge_boxes(blurred, params),
             params)
         seen: set = set()
         for c in candidates:
@@ -99,8 +98,7 @@ def _tfidf_matrix(vectorizer: TfidfVectorizer, texts: list[str]) -> sparse.csr_m
 
 
 def train_bundle(corpus_dir: str, seed: int = 0,
-                 freq_threshold: int | None = None,
-                 detection_params: DetectionParams | None = None) -> ModelBundle:
+                 freq_threshold: int | None = None) -> ModelBundle:
     """Train every pipeline component from a corpus directory."""
     corpus = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
     if not corpus:
@@ -161,7 +159,7 @@ def train_bundle(corpus_dir: str, seed: int = 0,
         term_dictionary=term_dictionary(),
         filter_model=filter_model,
         category_model=category_model,
-        detection_params=detection_params or DetectionParams(),
+        detection_params=DetectionParams(),
         web_pages=web_pages,
         meta={"seed": seed, "n_tickets": len(corpus),
               "freq_threshold": freq_threshold,

@@ -1,10 +1,14 @@
 import json
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from tickettriage.cli import build_parser, main
+from tickettriage import config, corpusgen, evalharness, recommend, training
+from tickettriage import bundle as bundle_io
+from tickettriage.cli import _cutoffs, build_parser, main
+from tickettriage.recommend import TriageCutoffs, TriageResult
 
 
 def test_savings_command_prints_hours_and_note(capsys):
@@ -118,3 +122,83 @@ def test_gen_command_writes_corpus(tmp_path, capsys):
     paths = json.loads(out.splitlines()[0])
     assert (tmp_path / "c" / "tickets.jsonl").exists()
     assert paths["tickets"].endswith("tickets.jsonl")
+
+
+def _passed_on(monkeypatch, tmp_path, command, config_text=None):
+    """Run one command with its work stubbed out; returns what it passed on."""
+    got = {}
+
+    def enrich(record, mode, b, corpus_dir):
+        got.setdefault("mode", []).append(mode)
+        return record.text, []
+
+    def triage(text, models, db, index, adapter, pool, cutoffs):
+        got["cutoffs"] = cutoffs
+        return TriageResult(None, None, [], "long_tail", {})
+
+    def evaluate(corpus_dir, records, b, mode, cutoffs):
+        got.setdefault("mode", []).append(mode)
+        got["cutoffs"] = cutoffs
+        return {"mode": mode, "n": 0, "routing_coverage": 0.0,
+                "routing_accuracy": 0.0, "category_accuracy": 0.0}, []
+
+    monkeypatch.setattr(corpusgen, "generate_corpus", lambda out, **kw: got.update(kw) or {})
+    monkeypatch.setattr(training, "train_bundle",
+                        lambda corpus, **kw: got.update(kw) or SimpleNamespace(meta={}))
+    monkeypatch.setattr(bundle_io, "save_bundle", lambda b, path: None)
+    monkeypatch.setattr(bundle_io, "load_bundle", lambda path: SimpleNamespace(
+        web_pages=[], models=None, resolution_db=None, index=None, pool=None))
+    monkeypatch.setattr(evalharness, "enrich_for_mode", enrich)
+    monkeypatch.setattr(recommend, "triage", triage)
+    monkeypatch.setattr(recommend, "load_corpus", lambda path: [])
+    monkeypatch.setattr(evalharness, "evaluate_corpus", evaluate)
+
+    argv = {
+        "gen": ["gen", "--out", str(tmp_path / "c")],
+        "train": ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "m.bin")],
+        "triage": ["triage", "--bundle", "m.bin", "--text", "printer is broken",
+                   "--out", str(tmp_path / "rows.jsonl")],
+        "eval": ["eval", "--bundle", "m.bin", "--corpus", str(tmp_path / "c")],
+    }[command]
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    return got
+
+
+_CUTOFF_FIELDS = {"conf_resolv_cutoff": "conf_resolv", "conf_prob_cutoff": "conf_prob",
+                  "conf_subfield_cutoff": "conf_subfield", "top_n": "top_n"}
+# (config key, non-default value, command that reads it)
+_KEY_USES = [
+    ("seed", "7", "gen"), ("count", "12", "gen"), ("image_only_fraction", "0.25", "gen"),
+    ("seed", "7", "train"), ("freq_threshold", "9", "train"),
+    ("mode", "multimodal", "triage"), ("mode", "text", "eval"),
+] + [(key, value, command) for command in ("triage", "eval")
+     for key, value in (("conf_resolv_cutoff", "0.55"), ("conf_prob_cutoff", "0.45"),
+                        ("conf_subfield_cutoff", "0.35"), ("top_n", "9"))]
+
+
+def test_every_config_key_has_a_use():
+    assert {key for key, _, _ in _KEY_USES} == set(config._SCHEMA)
+
+
+@pytest.mark.parametrize("key,value,command", _KEY_USES)
+def test_config_key_changes_what_the_command_passes_on(monkeypatch, tmp_path, capsys,
+                                                       key, value, command):
+    def passed(got):
+        if key in _CUTOFF_FIELDS:
+            return getattr(got["cutoffs"], _CUTOFF_FIELDS[key])
+        return got[key]  # "mode" holds one entry per mode the command ran
+
+    default = passed(_passed_on(monkeypatch, tmp_path, command))
+    configured = passed(_passed_on(monkeypatch, tmp_path, command, f"{key} = {value}\n"))
+    assert configured != default
+    want = config.parse_value(key, value)
+    assert configured == ([want] if key == "mode" else want)
+
+
+def test_cutoffs_defaults_live_in_triage_cutoffs():
+    assert _cutoffs({}) == TriageCutoffs()
+    assert _cutoffs({"top_n": 3}) == TriageCutoffs(top_n=3)

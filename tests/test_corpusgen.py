@@ -33,12 +33,12 @@ def test_corpus_structure(corpus_dir):
 
 
 def test_image_only_tickets_have_no_entities_in_text(corpus_dir):
-    from tickettriage.enrichment import extract_entities
+    from tickettriage.enrichment import EntitySet, extract_entities
     from tickettriage.fixtures import entity_dictionaries
 
     records = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
     image_only = [r for r in records if r.attachment_paths
-                  and extract_entities(r.text, entity_dictionaries()).is_empty()]
+                  and extract_entities(r.text, entity_dictionaries()) == EntitySet()]
     # ~40% of 400 tickets carry their entities only in the screenshot
     assert 0.3 <= len(image_only) / len(records) <= 0.5
 

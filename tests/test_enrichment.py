@@ -1,10 +1,7 @@
-import pytest
-
 from tickettriage.enrichment import (
-    DEFAULT_TEMPLATE,
+    SLOTS,
     EntityDictionaries,
     EntitySet,
-    SlotTemplate,
     correlate,
     enrich_multimodal,
     extract_entities,
@@ -78,13 +75,7 @@ def test_extract_entities_dictionary_rules():
 
 
 def test_extract_entities_empty_text():
-    assert extract_entities("", entity_dictionaries()).is_empty()
-
-
-def test_extract_entities_regex_rules():
-    e = extract_entities("build 20240101 failed", entity_dictionaries(),
-                         regex_rules={"build_id": r"build (\d+)"})
-    assert e.extra_slots == {"build_id": "20240101"}
+    assert extract_entities("", entity_dictionaries()) == EntitySet()
 
 
 def test_correlate_text_wins_image_fills_gaps():
@@ -127,13 +118,22 @@ def test_fill_slots_preserves_original_as_subsequence():
     assert _is_subsequence(text, out.enriched_text)
 
 
-def test_slot_template_rejects_duplicate_names():
-    with pytest.raises(ValueError):
-        SlotTemplate((("a", "os"), ("a", "version")))
+def test_fill_slots_with_every_field_set():
+    # slots go in SLOTS order: errmsg first, so errcode annotates the first
+    # "Error 42", inside the sentence errmsg repeats
+    e = EntitySet(os="Windows", os_version="10", app_name="Outlook",
+                  components=["disk", "network"], version="2.1.0",
+                  error_code="Error 42", error_message="Outlook stopped with Error 42.")
+    out = fill_slots("Outlook stopped with Error 42. The disk is full on Windows 10.", e)
+    assert out.enriched_text == (
+        "Outlook [<appname> = Outlook] stopped with Error 42 [<errcode> = Error 42]. "
+        "[<errmsg> = Outlook stopped with Error 42.] The disk [<component> = disk] "
+        "is full on Windows [<os> = Windows] 10 [<osver> = 10].\n"
+        "Extracted context: [<component> = network] [<version> = 2.1.0]")
 
 
 def test_default_template_slot_names_unique():
-    names = [n for n, _ in DEFAULT_TEMPLATE.slots]
+    names = [n for n, _ in SLOTS]
     assert len(names) == len(set(names))
 
 
@@ -200,3 +200,31 @@ def test_enrich_multimodal_reaches_every_wrapped_name(bundle, monkeypatch):
     assert sorted(calls) == sorted([
         "detect_contour_boxes", "detect_edge_boxes", "window_features",
         "ocr_window", "GlyphOcrEngine.__call__"])
+
+
+def test_enrich_multimodal_calls_the_engine_with_image_and_rect(bundle, corpus_dir,
+                                                               monkeypatch):
+    """The OCR engine contract is (image, rect): an engine that takes nothing
+    more still reads every detected window."""
+    import os
+    from tickettriage import textextract
+    from tickettriage.raster import read_ppm
+    from tickettriage.recommend import load_corpus
+
+    original = textextract.GlyphOcrEngine.__call__
+    rects = []
+
+    def image_and_rect(self, img, r):
+        rects.append(r)
+        return original(self, img, r)
+    monkeypatch.setattr(textextract.GlyphOcrEngine, "__call__", image_and_rect)
+
+    record = next(r for r in load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
+                  if r.attachment_paths)
+    img = read_ppm(os.path.join(corpus_dir, record.attachment_paths[0]))
+    enriched = enrich_multimodal(
+        record.text, [img], bundle.detection_params, bundle.filter_model,
+        bundle.category_model, entity_dictionaries(), lm=bundle.lm,
+        app_dictionary=bundle.term_dictionary)
+    assert enriched.image_windows
+    assert len(rects) >= len(enriched.image_windows)

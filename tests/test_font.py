@@ -35,8 +35,3 @@ def test_render_text_out_of_bounds_is_safe():
     canvas = np.zeros((10, 10, 3), dtype=np.uint8)
     font.render_text(canvas, -3, -3, "xyz", (1, 1, 1))
     font.render_text(canvas, 8, 8, "xyz", (1, 1, 1))  # must not raise
-
-
-def test_text_width():
-    assert font.text_width("") == 0
-    assert font.text_width("abc") == 3 * font.ADVANCE

@@ -10,6 +10,7 @@ from tickettriage.imaging import (
     CandidateBox,
     DetectionParams,
     Rect,
+    blurred_gray,
     canny_edges,
     dedup,
     detect_contour_boxes,
@@ -19,7 +20,7 @@ from tickettriage.imaging import (
     size_filter,
     window_features,
 )
-from tickettriage.raster import GrayRaster, Raster
+from tickettriage.raster import GrayRaster, Raster, gaussian_blur
 from tickettriage.synthgen import random_scene, render_scene
 
 
@@ -95,7 +96,7 @@ def test_size_filter():
 
 def test_canny_blank_image_has_no_edges():
     gray = GrayRaster(np.full((40, 40), 120, dtype=np.uint8))
-    edges = canny_edges(gray, 1.0, 40.0, 120.0)
+    edges = canny_edges(gaussian_blur(gray, 1.0), 40.0, 120.0)
     assert not edges.any()
 
 
@@ -119,8 +120,9 @@ def test_detectors_find_isolated_windows():
         img, gt = render_scene(random_scene(seed, n_windows=1))
         gold = gt.boxes[0][0]
         p = DetectionParams()
-        c = any(iou(b.rect, gold) >= 0.5 for b in detect_contour_boxes(img, p))
-        e = any(iou(b.rect, gold) >= 0.5 for b in detect_edge_boxes(img, p))
+        blurred = blurred_gray(img, p)
+        c = any(iou(b.rect, gold) >= 0.5 for b in detect_contour_boxes(blurred, p))
+        e = any(iou(b.rect, gold) >= 0.5 for b in detect_edge_boxes(blurred, p))
         contour_hits += c
         edge_hits += e
         union_hits += c or e
@@ -175,7 +177,7 @@ def test_line_dense_screenshot_skips_edge_detector(bundle, caplog):
     p = bundle.detection_params
     t0 = time.monotonic()
     with caplog.at_level(logging.WARNING, logger="tickettriage.imaging"):
-        assert detect_edge_boxes(img, p) == []
+        assert detect_edge_boxes(blurred_gray(img, p), p) == []
         detect_windows(img, p, bundle.filter_model, bundle.category_model)
     assert time.monotonic() - t0 < 5.0
     assert any("line-dense" in r.getMessage() for r in caplog.records)

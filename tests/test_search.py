@@ -83,6 +83,13 @@ def test_search_field_filters():
     assert index.search("printer", {"resolver_group": "nope"}) == []
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_limit_below_one_returns_nothing(limit):
+    docs = [IndexDoc(str(i), "printer error", {}) for i in range(3)]
+    assert len(SearchIndex(docs).search("printer")) == 3
+    assert SearchIndex(docs).search("printer", limit=limit) == []
+
+
 def test_search_normalizes_d_into_unit_interval():
     rng = np.random.RandomState(1)
     index = SearchIndex(_random_docs(rng, 20))
@@ -104,6 +111,14 @@ def test_web_search_degrades_on_adapter_failure():
     def broken(query):
         raise ConnectionError("socket closed")
     assert web_search(broken, "anything") == []
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_web_search_limit_below_one_returns_nothing(limit):
+    def adapter(query):
+        return [("x", "t", "a", 1.0), ("y", "t", "b", 2.0), ("z", "t", "c", 3.0)]
+    assert len(web_search(adapter, "q")) == 3
+    assert web_search(adapter, "q", limit=limit) == []
 
 
 def test_web_search_dedupes_ids_keeping_best_score():

@@ -9,8 +9,6 @@ from tickettriage.synthgen import (
     augment,
     random_scene,
     render_scene,
-    scene_from_json,
-    scene_to_json,
 )
 
 
@@ -26,11 +24,6 @@ def test_render_is_deterministic():
     img2, gt2 = render_scene(spec)
     assert img1 == img2
     assert gt1 == gt2
-
-
-def test_scene_json_round_trip():
-    spec = random_scene(17, n_windows=2)
-    assert scene_from_json(scene_to_json(spec)) == spec
 
 
 def test_ground_truth_matches_spec_order_and_rects():

@@ -54,8 +54,7 @@ def test_ocr_occluded_token_below_full_confidence():
     # paint a foreground block over the first token
     img2 = img.copy()
     img2.array[token.rect.y:token.rect.y2 + 2, token.rect.x:token.rect.x2] = (60, 60, 60)
-    occluder = Rect(token.rect.x, token.rect.y, token.rect.w, token.rect.h + 2)
-    tokens = ocr_window(img2, rect, occluders=[occluder])
+    tokens = ocr_window(img2, rect)
     texts = [t.text for t in tokens]
     gold = [t.token for t in gt.texts[0]]
     assert texts != gold
@@ -202,4 +201,4 @@ def test_glyph_engine_is_deterministic():
     img, gt = render_scene(spec)
     rect = gt.boxes[0][0]
     e = GlyphOcrEngine()
-    assert ocr_window(img, rect, e) == ocr_window(img, rect, e)
+    assert e(img, rect) == e(img, rect) == ocr_window(img, rect) == ocr_window(img, rect)
