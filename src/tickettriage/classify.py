@@ -8,7 +8,6 @@ yield identical parameters.
 
 from __future__ import annotations
 
-import mmap
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -65,6 +64,12 @@ class TfidfVectorizer:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35, 35)))
+
+
+def _softmax(Z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis: of a vector, or of each row of a matrix."""
+    E = np.exp(Z - Z.max(axis=-1, keepdims=True))
+    return E / E.sum(axis=-1, keepdims=True)
 
 
 def _fit_platt(scores: np.ndarray, correct: np.ndarray,
@@ -143,11 +148,7 @@ def _train_mlp(X, yi, n_classes, seed, hidden=64, epochs=120, lr=0.5, reg=1e-4):
     n = len(yi)
     for _ in range(epochs):
         H = np.maximum(0.0, X @ W1.T + b1)
-        Z = H @ W2.T + b2
-        Z -= Z.max(axis=1, keepdims=True)
-        E = np.exp(Z)
-        P = E / E.sum(axis=1, keepdims=True)
-        G = (P - onehot) / n
+        G = (_softmax(H @ W2.T + b2) - onehot) / n
         gW2 = G.T @ H + reg * W2
         gb2 = G.sum(axis=0)
         GH = (G @ W2) * (H > 0)
@@ -176,20 +177,13 @@ def _holdout_split(labels: list[str]) -> tuple[list[int], list[int]]:
     return sorted(train), sorted(held)
 
 
-def _dense_rows(X, rows: list[int]) -> np.ndarray:
-    """X[rows] as a dense array in its own anonymous memory map, which goes
-    back to the OS when the array is dropped; a heap block of this size would
-    stay resident behind the head's parameters allocated after it."""
-    n, v = len(rows), X.shape[1]
-    out = np.frombuffer(mmap.mmap(-1, max(1, 8 * n * v)), np.float64, count=n * v)
-    return X[rows].toarray(out=out.reshape(n, v))
-
-
 def train_classifier(X, labels: list[str], kind: str,
                      seed: int = 0) -> TextClassifierModel:
     """Train a classifier with margin->probability calibration on X, the
-    tf-idf rows of the labelled texts as a scipy.sparse CSR matrix. Only the
-    training and holdout subsets are made dense, each while it is used."""
+    tf-idf rows of the labelled texts as a scipy.sparse CSR matrix. The
+    training and holdout subsets are row slices of X and stay CSR: each
+    product with them yields a dense array of scores or gradients, so no
+    tickets x vocabulary array is ever dense."""
     if kind not in ("linear_ovr_margin", "feedforward_1hidden"):
         raise TrainingError(f"unknown classifier kind {kind!r}")
     classes = sorted(set(labels))
@@ -199,7 +193,7 @@ def train_classifier(X, labels: list[str], kind: str,
         raise TrainingError("need at least 5 examples per class")
 
     train_idx, held_idx = _holdout_split(labels)
-    Xtr = _dense_rows(X, train_idx)
+    Xtr = X[train_idx]
     ytr = np.array([classes.index(labels[i]) for i in train_idx])
 
     if kind == "linear_ovr_margin":
@@ -209,7 +203,7 @@ def train_classifier(X, labels: list[str], kind: str,
 
     model = TextClassifierModel(kind, classes, params, 1.0, 0.0)
     if held_idx:
-        scores = model._scores(_dense_rows(X, held_idx))
+        scores = model._scores(X[held_idx])
         raw = model._raw_confidence(scores)
         pred = scores.argmax(axis=1)
         gold = np.array([classes.index(labels[i]) for i in held_idx])

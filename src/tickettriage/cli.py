@@ -135,9 +135,9 @@ def cmd_triage(args) -> int:
         raise ParameterError("triage needs --tickets or --text")
     cfg = _config_for(args, {"mode": args.mode, "top_n": args.top_n})
     mode = cfg.get("mode", "text")
+    cutoffs = _cutoffs(cfg)
     bundle = load_bundle(args.bundle)
     adapter = LocalWebAdapter(bundle.web_pages) if bundle.web_pages else None
-    cutoffs = _cutoffs(cfg)
 
     if args.text is not None:
         records = [TicketRecord("cli-0", args.text, (), "", "-", "-", "-")]
@@ -174,6 +174,7 @@ def cmd_eval(args) -> int:
 
     cfg = _config_for(args, {"mode": args.mode})
     mode = cfg.get("mode", "both")
+    cutoffs = _cutoffs(cfg)
     bundle = load_bundle(args.bundle)
     records = load_corpus(os.path.join(args.corpus, "tickets.jsonl"))
     if args.limit:
@@ -183,8 +184,7 @@ def cmd_eval(args) -> int:
     all_rows = []
     summaries = []
     for m in modes:
-        summary, rows = evaluate_corpus(args.corpus, records, bundle, m,
-                                        _cutoffs(cfg))
+        summary, rows = evaluate_corpus(args.corpus, records, bundle, m, cutoffs)
         summaries.append(summary)
         all_rows.extend(rows)
 

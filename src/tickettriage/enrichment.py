@@ -80,12 +80,22 @@ _TRAILING_NUM_RE = re.compile(r"^\s*(\d+(?:\.\d+)*)\b")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
+def _fold(text: str) -> str:
+    """text lower-cased character by character, so that every position in it
+    indexes the same character of text. A character whose lower case is
+    longer (Turkish "İ" becomes "i̇") is kept as it is."""
+    lower = text.lower()
+    if len(lower) == len(text):  # lower-casing never shortens a character
+        return lower
+    return "".join(c if len(c.lower()) > 1 else c.lower() for c in text)
+
+
 def extract_entities(text: str, dictionaries: EntityDictionaries) -> EntitySet:
     """Longest-match dictionary scan + regex families for codes and versions."""
     e = EntitySet()
     if not text:
         return e
-    lower = text.lower()
+    lower = _fold(text)
 
     # OS: earliest alias occurrence; longest alias wins on equal position
     best = None
@@ -200,7 +210,7 @@ def fill_slots(ticket_text: str, e: EntitySet) -> EnrichedTicket:
     for slot_name, entity_field in SLOTS:
         for value in _slot_values(e, entity_field):
             annotation = f"[<{slot_name}> = {value}]"
-            pos = enriched.lower().find(value.lower())
+            pos = _fold(enriched).find(_fold(value))
             if pos >= 0:
                 end = pos + len(value)
                 enriched = enriched[:end] + " " + annotation + enriched[end:]

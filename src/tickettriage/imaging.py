@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .classify import _sigmoid
+from .classify import _sigmoid, _softmax
 from .errors import ParameterError
 from .raster import (
     GrayRaster,
@@ -595,11 +595,6 @@ def window_features(img: Raster, r: Rect) -> np.ndarray:
     return f
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 @dataclass
 class WindowFilterModel:
     """One-hidden-layer network over window_features; probability of
@@ -689,11 +684,7 @@ def _train_softmax(Xs: np.ndarray, yi: np.ndarray, n_classes: int, seed: int,
     b = np.zeros(n_classes)
     onehot = np.eye(n_classes)[yi]
     for _ in range(epochs):
-        Z = Xs @ W.T + b
-        Z -= Z.max(axis=1, keepdims=True)
-        E = np.exp(Z)
-        P = E / E.sum(axis=1, keepdims=True)
-        G = (P - onehot) / len(yi)
+        G = (_softmax(Xs @ W.T + b) - onehot) / len(yi)
         W -= lr * (G.T @ Xs + 1e-4 * W)
         b -= lr * G.sum(axis=0)
     return W, b
@@ -715,28 +706,20 @@ def train_category_model(X: np.ndarray, app_labels: list[str], os_labels: list[s
 # ---------------------------------------------------------------------------
 # full pipeline
 
-def _clamp_rect(r: Rect, img: Raster) -> Optional[Rect]:
-    x = max(0, r.x)
-    y = max(0, r.y)
-    x2 = min(img.width, r.x2)
-    y2 = min(img.height, r.y2)
-    if x2 - x < 1 or y2 - y < 1:
-        return None
-    return Rect(x, y, x2 - x, y2 - y)
+def candidate_boxes(img: Raster, p: DetectionParams) -> list[CandidateBox]:
+    """Both detectors on one blurred grayscale, size-filtered, contour boxes
+    first: the candidates detect_windows scores and window-filter mining
+    labels. Every rect lies inside the image, as the detectors build them
+    from pixel indices."""
+    blurred = blurred_gray(img, p)
+    return size_filter(detect_contour_boxes(blurred, p) + detect_edge_boxes(blurred, p), p)
 
 
 def detect_windows(img: Raster, p: DetectionParams,
                    filter_model: WindowFilterModel,
                    category_model: WindowCategoryModel) -> list[WindowDetection]:
     """Ensemble of both detectors -> size filter -> window filter -> dedup -> categorize."""
-    blurred = blurred_gray(img, p)
-    candidates = detect_contour_boxes(blurred, p) + detect_edge_boxes(blurred, p)
-    clamped = []
-    for c in candidates:
-        r = _clamp_rect(c.rect, img)
-        if r is not None:
-            clamped.append(CandidateBox(r, c.source))
-    sized = size_filter(clamped, p)
+    sized = candidate_boxes(img, p)
 
     # features depend on the rect alone: one call per distinct rect, reused
     # by both models

@@ -157,6 +157,14 @@ class TriageCutoffs:
     conf_subfield: float = 0.6
     top_n: int = 5
 
+    def __post_init__(self):
+        for name in ("conf_resolv", "conf_prob", "conf_subfield"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ParameterError(f"{name}_cutoff must be in [0, 1], got {value}")
+        if self.top_n < 1:
+            raise ParameterError(f"top_n must be >= 1, got {self.top_n}")
+
 
 @dataclass
 class TriageModels:

@@ -17,6 +17,8 @@ from .errors import TrainingError
 from .fixtures import TAXONOMY, entity_dictionaries, phrase_bank, term_dictionary
 from .imaging import (
     DetectionParams,
+    candidate_boxes,
+    iou,
     train_category_model,
     train_filter_model,
     window_features,
@@ -57,9 +59,7 @@ def _window_training_set(seed: int):
     truth, so the filter learns the exact false-positive distribution it will
     see at detection time. Ground-truth boxes are added as extra positives
     and provide the category labels. The scenes are 400 seeded renders, and
-    the detectors run with the DetectionParams() that train_bundle stores."""
-    from .imaging import (blurred_gray, detect_contour_boxes, detect_edge_boxes,
-                          iou, size_filter)
+    the candidates come from the DetectionParams() that train_bundle stores."""
     params = DetectionParams()
     X, y, X_cat, app_labels, os_labels = [], [], [], [], []
     for k in range(400):
@@ -73,13 +73,9 @@ def _window_training_set(seed: int):
             X_cat.append(feats)
             app_labels.append(kind)
             os_labels.append(theme)
-        blurred = blurred_gray(img, params)
-        candidates = size_filter(
-            detect_contour_boxes(blurred, params) + detect_edge_boxes(blurred, params),
-            params)
         seen: set = set()
-        for c in candidates:
-            if c.rect in seen or not c.rect.within_image(img):
+        for c in candidate_boxes(img, params):
+            if c.rect in seen:
                 continue
             seen.add(c.rect)
             best = max((iou(c.rect, g) for g in gold), default=0.0)
@@ -91,8 +87,9 @@ def _window_training_set(seed: int):
 
 
 def _tfidf_matrix(vectorizer: TfidfVectorizer, texts: list[str]) -> sparse.csr_matrix:
-    """vectorizer.transform(texts) as CSR, 256 texts at a time: a dense
-    tickets x vocabulary matrix would stay resident through all heads."""
+    """vectorizer.transform(texts) as CSR, 256 texts at a time: every head
+    trains and calibrates on row slices of it, and a dense tickets x
+    vocabulary matrix would stay resident through all of them."""
     return sparse.vstack([sparse.csr_matrix(vectorizer.transform(texts[i:i + 256]))
                           for i in range(0, len(texts), 256)], format="csr")
 

@@ -6,7 +6,7 @@ vectorized package code must match exactly; see test_screenshot_oracle.py.
 """
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -19,7 +19,6 @@ from tickettriage.imaging import (
     DetectionParams,
     Rect,
     WindowDetection,
-    _clamp_rect,
     _suppress_nested,
     dedup,
     iou,
@@ -397,6 +396,16 @@ def window_features(img: Raster, r: Rect) -> np.ndarray:
     if h > 24 and w > 12:
         f[26] = float((np.abs(dy[10:18, :]) > 40).mean(axis=1).max())
     return f
+
+
+def _clamp_rect(r: Rect, img: Raster) -> Optional[Rect]:
+    x = max(0, r.x)
+    y = max(0, r.y)
+    x2 = min(img.width, r.x2)
+    y2 = min(img.height, r.y2)
+    if x2 - x < 1 or y2 - y < 1:
+        return None
+    return Rect(x, y, x2 - x, y2 - y)
 
 
 def detect_windows(img: Raster, p: DetectionParams, filter_model, category_model,

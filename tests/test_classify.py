@@ -142,18 +142,19 @@ def test_holdout_split_matches_oracle_on_random_labels():
 
 def _train_classifier_oracle(texts, labels, kind, seed):
     """A head as first written: its own vectorizer fitted on the texts, the
-    train and holdout subsets transformed separately."""
+    train and holdout subsets transformed separately (and passed as CSR, as
+    train_classifier passes its row slices)."""
     from tickettriage.classify import (TextClassifierModel, _fit_platt, _train_linear,
                                        _train_mlp)
     classes = sorted(set(labels))
     vec = TfidfVectorizer().fit(texts)
     train_idx, held_idx = _holdout_split(labels)
-    Xtr = vec.transform([texts[i] for i in train_idx])
+    Xtr = sparse.csr_matrix(vec.transform([texts[i] for i in train_idx]))
     ytr = np.array([classes.index(labels[i]) for i in train_idx])
     train = _train_linear if kind == "linear_ovr_margin" else _train_mlp
     model = TextClassifierModel(kind, classes, train(Xtr, ytr, len(classes), seed), 1.0, 0.0)
     if held_idx:
-        scores = model._scores(vec.transform([texts[i] for i in held_idx]))
+        scores = model._scores(sparse.csr_matrix(vec.transform([texts[i] for i in held_idx])))
         gold = np.array([classes.index(labels[i]) for i in held_idx])
         model.calib_a, model.calib_b = _fit_platt(model._raw_confidence(scores),
                                                   scores.argmax(axis=1) == gold)
@@ -190,3 +191,51 @@ def test_shared_tfidf_matrix_matches_per_head_vectorizers(corpus_dir):
         for key in want.params:
             assert np.array_equal(got.params[key], want.params[key])
         assert (got.calib_a, got.calib_b) == (want.calib_a, want.calib_b)
+
+
+class _DenseRows:
+    """Row slices of a CSR matrix handed out dense: train_classifier on this
+    trains each head on dense arrays, as it did before the heads took the
+    CSR rows directly."""
+
+    def __init__(self, X):
+        self.X = X
+        self.shape = X.shape
+
+    def __getitem__(self, rows):
+        return self.X[rows].toarray()
+
+
+def test_heads_trained_on_csr_rows_match_dense_training(corpus_dir, bundle):
+    """Sparse products sum in another order, so the seven heads may differ
+    from dense training in the last bits only, and no prediction changes."""
+    import os
+
+    from tickettriage.recommend import SUBFIELDS, load_corpus
+    from tickettriage.training import _tfidf_matrix, enrich_text_only
+
+    corpus = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
+    texts = [enrich_text_only(r.text) for r in corpus]
+    models = bundle.models
+    X = _tfidf_matrix(models.vectorizer, texts)
+    seed = bundle.meta["seed"]
+    resolver = [r.resolver_group for r in corpus]
+    category = [r.category for r in corpus]
+    heads = [(models.resolver_pair[0], resolver, "linear_ovr_margin", seed),
+             (models.resolver_pair[1], resolver, "feedforward_1hidden", seed + 1),
+             (models.category_pair[0], category, "linear_ovr_margin", seed + 2),
+             (models.category_pair[1], category, "feedforward_1hidden", seed + 3)]
+    heads += [(models.subfield_models[sf], [getattr(r, sf) for r in corpus],
+               "linear_ovr_margin", seed + 4 + i) for i, sf in enumerate(SUBFIELDS)]
+    assert len(heads) == 7
+    rows = [models.vectorizer.transform([text]) for text in texts]
+    for got, labels, kind, head_seed in heads:
+        want = train_classifier(_DenseRows(X), labels, kind, head_seed)
+        assert got.classes == want.classes
+        assert sorted(got.params) == sorted(want.params)
+        for key in want.params:
+            assert np.allclose(got.params[key], want.params[key], rtol=1e-9, atol=1e-12)
+        assert np.allclose([got.calib_a, got.calib_b], [want.calib_a, want.calib_b],
+                           rtol=1e-9, atol=1e-12)
+        for row in rows:
+            assert got.predict(row)[0] == want.predict(row)[0]

@@ -71,6 +71,31 @@ def test_triage_without_input_is_a_usage_error_before_loading(tmp_path, capsys):
     assert "--tickets or --text" in capsys.readouterr().err
 
 
+# one out-of-range value per cutoff key
+_BAD_CUTOFFS = ("conf_resolv_cutoff = 7.0", "conf_prob_cutoff = -0.5",
+                "conf_subfield_cutoff = 1.01", "top_n = -1", "top_n = 0")
+
+
+@pytest.mark.parametrize("command", ["triage", "eval"])
+def test_bad_cutoffs_are_usage_errors_before_loading(tmp_path, capsys, command):
+    argv = {"triage": ["triage", "--text", "printer is broken"],
+            "eval": ["eval", "--corpus", str(tmp_path)]}[command]
+    argv += ["--bundle", str(tmp_path / "missing.bin")]
+    for i, line in enumerate(_BAD_CUTOFFS):
+        cfg = tmp_path / f"bad{i}.cfg"
+        cfg.write_text(line + "\n")
+        assert main(argv + ["--config", str(cfg)]) == 2, line
+        assert line.split(" = ")[0] in capsys.readouterr().err, line
+    if command == "triage":
+        assert main(argv + ["--top-n", "-1"]) == 2
+        assert "top_n" in capsys.readouterr().err
+
+
+def test_cutoffs_accept_their_bounds():
+    assert _cutoffs({"conf_resolv_cutoff": 0.0, "conf_prob_cutoff": 1.0,
+                     "conf_subfield_cutoff": 1.0, "top_n": 1}) == TriageCutoffs(0.0, 1.0, 1.0, 1)
+
+
 def _readme_cli_commands():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

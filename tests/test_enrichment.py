@@ -78,6 +78,14 @@ def test_extract_entities_empty_text():
     assert extract_entities("", entity_dictionaries()) == EntitySet()
 
 
+def test_extract_entities_positions_survive_growing_lower_case():
+    # "İ".lower() is two characters, so text.lower() is longer than text
+    e = extract_entities("İİ Windows 10 crashed", entity_dictionaries())
+    assert (e.os, e.os_version) == ("Windows", "10")
+    e = extract_entities("İstanbul office: Ubuntu 22.04 login fails", entity_dictionaries())
+    assert (e.os, e.os_version) == ("Linux", "22.04")
+
+
 def test_correlate_text_wins_image_fills_gaps():
     text_e = EntitySet(os="Windows", error_code="Error 42")
     image_e = EntitySet(os="Linux", app_name="Outlook", error_code="Error 99")
@@ -108,6 +116,13 @@ def test_fill_slots_unmentioned_values_go_to_trailer():
     assert "Extracted context:" in out.enriched_text
     assert "[<appname> = Outlook]" in out.enriched_text
     assert "[<os> = Windows]" in out.enriched_text
+
+
+def test_fill_slots_positions_survive_growing_lower_case():
+    out = fill_slots("İİ Windows 10 crashed", EntitySet(os="Windows", os_version="10"))
+    assert out.enriched_text == "İİ Windows [<os> = Windows] 10 [<osver> = 10] crashed"
+    out = fill_slots("İİ crash: see İD-7 log", EntitySet(error_code="İD-7"))
+    assert out.enriched_text == "İİ crash: see İD-7 [<errcode> = İD-7] log"
 
 
 def test_fill_slots_preserves_original_as_subsequence():

@@ -108,6 +108,20 @@ def test_window_features_shape_and_bounds_check():
         window_features(img, Rect(img.width - 10, 5, 60, 50))
 
 
+def test_detector_rects_lie_inside_the_image():
+    """detect_windows and window-filter mining take the detectors' rects as
+    they are, with no clamp: both detectors build them from pixel indices."""
+    from test_screenshot_oracle import _oracle_scenes
+    p = DetectionParams()
+    n_rects = 0
+    for name, img, _ in _oracle_scenes():
+        blurred = blurred_gray(img, p)
+        for c in detect_contour_boxes(blurred, p) + detect_edge_boxes(blurred, p):
+            assert c.rect.within_image(img), (name, c)
+            n_rects += 1
+    assert n_rects > 300
+
+
 def test_detectors_find_isolated_windows():
     """Each raw detector hits most single-window scenes; their union hits all.
 
