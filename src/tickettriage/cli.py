@@ -175,9 +175,11 @@ def cmd_eval(args) -> int:
     cfg = _config_for(args, {"mode": args.mode})
     mode = cfg.get("mode", "both")
     cutoffs = _cutoffs(cfg)
+    if args.limit is not None and args.limit < 1:
+        raise ParameterError("--limit must be >= 1")
     bundle = load_bundle(args.bundle)
     records = load_corpus(os.path.join(args.corpus, "tickets.jsonl"))
-    if args.limit:
+    if args.limit is not None:
         records = records[:args.limit]
 
     modes = ("text", "multimodal") if mode == "both" else (mode,)

@@ -34,6 +34,7 @@ _OS_VERSIONS = {
     "Mac": ("13", "14"),
 }
 _OS_THEME = {"Windows": "windows", "Linux": "linux", "Mac": "mac"}
+_RESOLUTION_FRACTION = 0.9  # of tickets that record their gold resolution
 
 _GENERIC_TEXTS = (
     "My application shows an error this morning, screenshot attached.",
@@ -97,8 +98,7 @@ def _gt_record(ticket_id: str, path: str, spec: SceneSpec, gt: GroundTruth) -> d
 
 def generate_corpus(out_dir: str, seed: int, count: int,
                     image_only_fraction: float = 0.4,
-                    redundant_image_fraction: float = 0.1,
-                    resolution_fraction: float = 0.9) -> dict:
+                    redundant_image_fraction: float = 0.1) -> dict:
     """Write a deterministic synthetic corpus; returns the output paths."""
     rng = np.random.RandomState(seed)
     scenes_dir = os.path.join(out_dir, "scenes")
@@ -129,7 +129,7 @@ def generate_corpus(out_dir: str, seed: int, count: int,
                                        sort_keys=True))
 
         resolution: Optional[str] = (
-            profile.resolution if rng.rand() < resolution_fraction else None
+            profile.resolution if rng.rand() < _RESOLUTION_FRACTION else None
         )
         records.append(TicketRecord(
             ticket_id, text, attachments, profile.resolver_group,

@@ -3,6 +3,11 @@ of text- and image-derived entities (ticket text wins conflicts), and slot
 insertion of the form "[<slot> = value]" for the seven slots of SLOTS, in
 that order: errmsg, errcode, appname, os, osver, component, version.
 
+Screenshot text is corrected before extraction with fixed settings: each
+OCR token below full confidence goes to the nearest term-dictionary entry
+within 2 edits, then a bigram LM (lambda = 0.7) rewrites tokens below
+confidence 0.9 and fills occlusion gaps (see textextract).
+
 Enrichment only ever inserts, so the original text stays a subsequence of
 the enriched text.
 """
@@ -226,7 +231,7 @@ def fill_slots(ticket_text: str, e: EntitySet) -> EnrichedTicket:
 
 def enrich_multimodal(ticket_text: str, images, detection_params, filter_model,
                       category_model, dictionaries: EntityDictionaries,
-                      lm=None, app_dictionary=None) -> EnrichedTicket:
+                      lm, app_dictionary) -> EnrichedTicket:
     """Run the image pipeline over attachments and enrich the ticket text."""
     from .imaging import detect_windows
     from .textextract import correct_token, lm_correct_sequence, ocr_window
@@ -235,10 +240,8 @@ def enrich_multimodal(ticket_text: str, images, detection_params, filter_model,
     for img in images:
         detections = detect_windows(img, detection_params, filter_model, category_model)
         for det in detections:
-            tokens = ocr_window(img, det.rect)
-            if app_dictionary is not None:
-                tokens = [correct_token(t, app_dictionary) if t.confidence < 1.0 else t
-                          for t in tokens]
+            tokens = [correct_token(t, app_dictionary) if t.confidence < 1.0 else t
+                      for t in ocr_window(img, det.rect)]
             tokens = lm_correct_sequence(tokens, lm)
             windows.append((det, " ".join(t.text for t in tokens)))
 

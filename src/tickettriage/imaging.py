@@ -95,7 +95,6 @@ class WindowDetection:
 @dataclass
 class DetectionParams:
     gaussian_sigma: float = 1.0
-    binarize_threshold: Optional[int] = None  # None = Otsu per image
     canny_low: float = 40.0
     canny_high: float = 120.0
     hough_min_line_frac: float = 0.15
@@ -193,11 +192,9 @@ def blurred_gray(img: Raster, p: DetectionParams) -> GrayRaster:
 
 
 def detect_contour_boxes(blurred: GrayRaster, p: DetectionParams) -> list[CandidateBox]:
-    """Binarize -> component border tracing -> rectangle test, on
+    """Otsu binarization -> component border tracing -> rectangle test, on
     blurred_gray(img, p)."""
-    threshold = (p.binarize_threshold if p.binarize_threshold is not None
-                 else otsu_threshold(blurred))
-    white = blurred.array >= threshold  # the pixels binarize() sets to 255
+    white = blurred.array >= otsu_threshold(blurred)
 
     boxes: list[CandidateBox] = []
     for mask in (white, ~white):
@@ -614,6 +611,9 @@ class WindowFilterModel:
         return float(_sigmoid(hidden @ self.w2 + self.b2))
 
 
+_CATEGORY_CONF_FLOOR = 0.4  # below it a head answers "other" / "unknown"
+
+
 @dataclass
 class WindowCategoryModel:
     """Two independent softmax heads: application kind and OS theme."""
@@ -625,15 +625,14 @@ class WindowCategoryModel:
     os_bias: np.ndarray
     mean: np.ndarray
     scale: np.ndarray
-    confidence_floor: float = 0.4
 
     def predict(self, feats: np.ndarray):
         z = (feats - self.mean) / self.scale
         pa = _softmax(self.app_weights @ z + self.app_bias)
         po = _softmax(self.os_weights @ z + self.os_bias)
         ia, io = int(pa.argmax()), int(po.argmax())
-        app = self.app_classes[ia] if pa[ia] >= self.confidence_floor else "other"
-        osc = self.os_classes[io] if po[io] >= self.confidence_floor else "unknown"
+        app = self.app_classes[ia] if pa[ia] >= _CATEGORY_CONF_FLOOR else "other"
+        osc = self.os_classes[io] if po[io] >= _CATEGORY_CONF_FLOOR else "unknown"
         return app, osc, float(pa[ia]), float(po[io])
 
 

@@ -1,8 +1,8 @@
-"""Raster types, PPM I/O and the basic grayscale/blur/binarize operations.
+"""Raster types, PPM I/O, grayscale, blur and the Otsu threshold.
 
 All images are backed by numpy uint8 arrays: RGB rasters are (h, w, 3),
-grayscale and binary rasters are (h, w). Binary rasters only hold 0 or 255.
-Everything here is pure and deterministic, which the test oracles rely on.
+grayscale rasters are (h, w). Everything here is pure and deterministic,
+which the test oracles rely on.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ class Raster:
     def height(self) -> int:
         return self.array.shape[0]
 
-    @classmethod
-    def blank(cls, width: int, height: int, color=(255, 255, 255)) -> "Raster":
-        arr = np.empty((height, width, 3), dtype=np.uint8)
-        arr[:, :] = color
-        return cls(arr)
-
-    def copy(self) -> "Raster":
-        return Raster(self.array.copy())
-
     def tobytes(self) -> bytes:
         return self.array.tobytes()
 
@@ -63,16 +54,6 @@ class GrayRaster:
     @property
     def height(self) -> int:
         return self.array.shape[0]
-
-
-class BinaryRaster(GrayRaster):
-    """Single-channel image restricted to {0, 255}."""
-
-    def __init__(self, array: np.ndarray):
-        super().__init__(array)
-        bad = ~np.isin(self.array, (0, 255))
-        if bad.any():
-            raise ValueError("BinaryRaster values must be 0 or 255")
 
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -120,11 +101,6 @@ def gaussian_blur(img: GrayRaster, sigma: float) -> GrayRaster:
     return GrayRaster(np.clip(np.rint(out), 0, 255).astype(np.uint8))
 
 
-def binarize(img: GrayRaster, threshold: int) -> BinaryRaster:
-    """value >= threshold -> 255, else 0."""
-    return BinaryRaster(np.where(img.array >= threshold, 255, 0).astype(np.uint8))
-
-
 def otsu_threshold(img: GrayRaster) -> int:
     """Classic Otsu threshold maximizing between-class variance."""
     hist = np.bincount(img.array.ravel(), minlength=256).astype(np.float64)
@@ -139,7 +115,7 @@ def otsu_threshold(img: GrayRaster) -> int:
     sigma_b = (mu_t * omega - mu) ** 2 / denom
     if np.all(np.isnan(sigma_b)):
         return 128
-    # threshold is applied as >=, so binarize above the argmax bin
+    # threshold is applied as >=, so split above the argmax bin
     return int(np.nanargmax(sigma_b)) + 1
 
 
@@ -171,6 +147,8 @@ def read_ppm(path) -> Raster:
         fields.append(int(data[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: non-positive dimension {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)

@@ -83,13 +83,6 @@ def compose_category(f1: str, f2: str, f3: str) -> str:
     return CATEGORY_SEP.join((f1, f2, f3))
 
 
-def decompose_category(label: str) -> tuple[str, str, str]:
-    parts = label.split(CATEGORY_SEP)
-    if len(parts) != 3:
-        raise ParameterError(f"not a composite category: {label!r}")
-    return tuple(parts)
-
-
 def display_category(label: str) -> str:
     return label.replace(CATEGORY_SEP, "/")
 

@@ -235,19 +235,21 @@ class ResourceRep:
         return self.counts.get(term, 0) / self.total if self.total else 0.0
 
 
+_POOL_LAMBDA = 0.7  # weight of a resource's own model against the background
+
+
 class ResourcePool:
     """The two federated resources plus their combined background model."""
 
-    def __init__(self, corpus_texts: Sequence[str], web_texts: Sequence[str],
-                 lam: float = 0.7):
+    def __init__(self, corpus_texts: Sequence[str], web_texts: Sequence[str]):
         self.reps = {"ticket_corpus": ResourceRep(corpus_texts),
                      "web": ResourceRep(web_texts)}
         self.background = ResourceRep(list(corpus_texts) + list(web_texts))
-        self.lam = lam
 
     def _loglik(self, rep: ResourceRep, terms: list[str]) -> float:
         return sum(
-            math.log(self.lam * rep.prob(t) + (1 - self.lam) * self.background.prob(t) + 1e-12)
+            math.log(_POOL_LAMBDA * rep.prob(t) + (1 - _POOL_LAMBDA) * self.background.prob(t)
+                     + 1e-12)
             for t in terms
         ) / len(terms)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import font
+from .fixtures import phrase_bank
 from .imaging import ParameterError, Rect
 from .raster import Raster, to_grayscale
 
@@ -279,16 +280,13 @@ _OVERLAP_CAP = {"none": 0.0, "light": 0.3, "heavy": 0.7}
 
 
 def random_scene(seed: int, n_windows: int, overlap: str = "light",
-                 phrases: list[str] | None = None,
                  canvas_w: int = 320, canvas_h: int = 240) -> SceneSpec:
     """Reproducible random scene with bounded pairwise window IoU."""
     if n_windows not in (1, 2, 3):
         raise ParameterError("n_windows must be 1, 2 or 3")
     if overlap not in _OVERLAP_CAP:
         raise ParameterError(f"unknown overlap mode {overlap!r}")
-    if phrases is None:
-        from .fixtures import phrase_bank
-        phrases = phrase_bank()
+    phrases = phrase_bank()
     cap = _OVERLAP_CAP[overlap]
 
     rng = np.random.RandomState(seed)

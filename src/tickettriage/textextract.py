@@ -3,9 +3,10 @@
 The OCR engine reads one window: GlyphOcrEngine()(image, rect) -> list of
 OcrToken. It recognizes the renderer's fixed 5x7 font by template matching,
 so it is exact on clean synthetic renders, and marks solidly covered cells
-as occlusion gaps. Post-correction is two-stage: dictionary edit-distance
-for short names, then a word-level n-gram language model for low-confidence
-tokens and occlusion gaps.
+as occlusion gaps. Post-correction is two-stage, with fixed settings:
+dictionary edit-distance for short names, then a word-level bigram language
+model (lambda = 0.7) for tokens below confidence 0.9 and occlusion gaps. Both
+stages accept a replacement at most 2 edits from the observed text.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from .imaging import Rect
 from .raster import Raster, rgb_to_luma
 
 OCCLUDED_MARK = "⟨occluded⟩"  # surfaced for gaps the LM cannot recover
+_MAX_EDIT = 2  # edit budget of both correction stages
+_LM_LAMBDA = 0.7  # weight of the bigram estimate against the unigram
+_LM_CONF_FLOOR = 0.9  # tokens below this confidence go to the LM
 
 
 @dataclass(frozen=True)
@@ -224,17 +228,17 @@ class Dictionary:
     def lookup(self, term: str) -> Optional[str]:
         return self._lower.get(term.lower())
 
-    def nearest(self, term: str, max_edit: int) -> Optional[str]:
-        """Unique nearest entry within max_edit; None on tie or no candidate."""
+    def nearest(self, term: str) -> Optional[str]:
+        """Unique nearest entry within _MAX_EDIT; None on tie or no candidate."""
         exact = self.lookup(term)
         if exact is not None:
             return exact
         lo = term.lower()
         best: Optional[str] = None
-        best_d = max_edit + 1
+        best_d = _MAX_EDIT + 1
         tied = False
         for entry in self.entries:
-            if abs(len(entry) - len(lo)) > max_edit:
+            if abs(len(entry) - len(lo)) > _MAX_EDIT:
                 continue
             d = levenshtein(entry.lower(), lo)
             if d < best_d:
@@ -244,11 +248,9 @@ class Dictionary:
         return best if best is not None and not tied else None
 
 
-def correct_token(t: OcrToken, d: Dictionary, max_edit: int = 2) -> OcrToken:
-    """Replace text with the unique nearest dictionary entry within max_edit."""
-    if max_edit < 0:
-        raise ParameterError("max_edit must be >= 0")
-    replacement = d.nearest(t.text, max_edit)
+def correct_token(t: OcrToken, d: Dictionary) -> OcrToken:
+    """Replace text with the unique nearest dictionary entry within _MAX_EDIT."""
+    replacement = d.nearest(t.text)
     if replacement is None or replacement == t.text:
         return t
     return OcrToken(replacement, t.rect, t.confidence)
@@ -258,16 +260,10 @@ def correct_token(t: OcrToken, d: Dictionary, max_edit: int = 2) -> OcrToken:
 # word-level language model
 
 class WordLM:
-    """Interpolated n-gram LM (Jelinek-Mercer against add-one unigrams)."""
+    """Interpolated bigram LM (Jelinek-Mercer against add-one unigrams)."""
 
-    def __init__(self, order: int, lam: float, unigrams: dict[str, int],
+    def __init__(self, unigrams: dict[str, int],
                  ngrams: dict[tuple[str, ...], dict[str, int]]):
-        if order not in (1, 2):
-            raise ParameterError("order must be 1 or 2")
-        if not (0.0 < lam < 1.0):
-            raise ParameterError("lambda must be in (0,1)")
-        self.order = order
-        self.lam = lam
         self.unigrams = unigrams
         self.ngrams = ngrams
         self.total = sum(unigrams.values())
@@ -281,13 +277,11 @@ class WordLM:
 
     def prob(self, word: str, context: Optional[str] = None) -> float:
         uni = self.unigram_prob(word)
-        if self.order == 1 or context is None:
-            return uni
-        counts = self.ngrams.get((context,))
+        counts = self.ngrams.get((context,))  # None context: no key, unigram only
         if not counts:
             return uni
         p_ng = counts.get(word, 0) / self._ctx_totals[(context,)]
-        return self.lam * p_ng + (1.0 - self.lam) * uni
+        return _LM_LAMBDA * p_ng + (1.0 - _LM_LAMBDA) * uni
 
     def predict(self, context: Optional[str]) -> str:
         """Argmax over vocabulary; lexicographic tie-break."""
@@ -296,8 +290,8 @@ class WordLM:
         return min(self.vocab, key=lambda w: (-self.prob(w, context), w))
 
 
-def train_lm(corpus: Sequence[str], order: int = 2, lam: float = 0.7) -> WordLM:
-    """Count n-grams over whitespace-tokenized sentences."""
+def train_lm(corpus: Sequence[str]) -> WordLM:
+    """Count unigrams and bigrams over whitespace-tokenized sentences."""
     sentences = [s.split() for s in corpus if s.strip()]
     if not sentences:
         raise TrainingError("LM training corpus is empty")
@@ -306,25 +300,21 @@ def train_lm(corpus: Sequence[str], order: int = 2, lam: float = 0.7) -> WordLM:
     for toks in sentences:
         for w in toks:
             unigrams[w] = unigrams.get(w, 0) + 1
-        if order == 2:
-            for prev, cur in zip(toks, toks[1:]):
-                ctx = (prev,)
-                ngrams.setdefault(ctx, {})
-                ngrams[ctx][cur] = ngrams[ctx].get(cur, 0) + 1
-    return WordLM(order, lam, unigrams, ngrams)
+        for prev, cur in zip(toks, toks[1:]):
+            ctx = (prev,)
+            ngrams.setdefault(ctx, {})
+            ngrams[ctx][cur] = ngrams[ctx].get(cur, 0) + 1
+    return WordLM(unigrams, ngrams)
 
 
-def lm_correct_sequence(tokens: Sequence[OcrToken], lm: Optional[WordLM],
-                        conf_floor: float = 0.9, max_edit: int = 2) -> list[OcrToken]:
-    """Replace low-confidence tokens and occlusion gaps via the LM.
+def lm_correct_sequence(tokens: Sequence[OcrToken], lm: WordLM) -> list[OcrToken]:
+    """Replace tokens below _LM_CONF_FLOOR and occlusion gaps via the LM.
 
     Candidates for a garbled token are vocabulary words within edit distance
-    max_edit of the observed text (plus the observed text itself); a fully
+    _MAX_EDIT of the observed text (plus the observed text itself); a fully
     occluded gap considers the whole vocabulary. Deterministic: ties break
     lexicographically.
     """
-    if lm is None:
-        return list(tokens)
     out: list[OcrToken] = []
     prev_word: Optional[str] = None
     for tok in tokens:
@@ -335,10 +325,10 @@ def lm_correct_sequence(tokens: Sequence[OcrToken], lm: Optional[WordLM],
                 out.append(OcrToken(text, tok.rect, tok.confidence))
             else:
                 out.append(tok)
-        elif tok.confidence < conf_floor:
+        elif tok.confidence < _LM_CONF_FLOOR:
             candidates = [w for w in lm.vocab
-                          if abs(len(w) - len(text)) <= max_edit
-                          and levenshtein(w.lower(), text.lower()) <= max_edit]
+                          if abs(len(w) - len(text)) <= _MAX_EDIT
+                          and levenshtein(w.lower(), text.lower()) <= _MAX_EDIT]
             if text not in candidates:
                 candidates.append(text)
             text = min(candidates, key=lambda w: (-lm.prob(w, prev_word), w))

@@ -24,7 +24,7 @@ from tickettriage.imaging import (
     iou,
     size_filter,
 )
-from tickettriage.raster import GrayRaster, Raster, binarize, gaussian_blur, otsu_threshold
+from tickettriage.raster import GrayRaster, Raster, gaussian_blur, otsu_threshold
 from tickettriage.textextract import OCCLUDED_MARK, OcrToken
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -42,6 +42,21 @@ def to_grayscale(img: Raster) -> GrayRaster:
     rgb = img.array.astype(np.float64)
     luma = rgb[:, :, 0] * LUMA_WEIGHTS[0] + rgb[:, :, 1] * LUMA_WEIGHTS[1] + rgb[:, :, 2] * LUMA_WEIGHTS[2]
     return GrayRaster(np.clip(np.rint(luma), 0, 255).astype(np.uint8))
+
+
+class BinaryRaster(GrayRaster):
+    """Single-channel image restricted to {0, 255}."""
+
+    def __init__(self, array: np.ndarray):
+        super().__init__(array)
+        bad = ~np.isin(self.array, (0, 255))
+        if bad.any():
+            raise ValueError("BinaryRaster values must be 0 or 255")
+
+
+def binarize(img: GrayRaster, threshold: int) -> BinaryRaster:
+    """value >= threshold -> 255, else 0."""
+    return BinaryRaster(np.where(img.array >= threshold, 255, 0).astype(np.uint8))
 
 
 def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -117,7 +132,7 @@ def _polygon_corners(boundary: list[tuple[int, int]], eps: float) -> int:
 def detect_contour_boxes(img: Raster, p: DetectionParams) -> list[CandidateBox]:
     """Grayscale -> blur -> binarize -> component border tracing -> rectangle test."""
     gray = gaussian_blur(to_grayscale(img), p.gaussian_sigma)
-    threshold = p.binarize_threshold if p.binarize_threshold is not None else otsu_threshold(gray)
+    threshold = otsu_threshold(gray)
     binary = binarize(gray, threshold)
 
     boxes: list[CandidateBox] = []

@@ -91,6 +91,15 @@ def test_bad_cutoffs_are_usage_errors_before_loading(tmp_path, capsys, command):
         assert "top_n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_eval_limit_below_one_is_a_usage_error_before_loading(tmp_path, capsys, limit):
+    # the missing bundle is never opened: the usage error comes first
+    rc = main(["eval", "--corpus", str(tmp_path), "--bundle", str(tmp_path / "missing.bin"),
+               "--limit", limit])
+    assert rc == 2
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_cutoffs_accept_their_bounds():
     assert _cutoffs({"conf_resolv_cutoff": 0.0, "conf_prob_cutoff": 1.0,
                      "conf_subfield_cutoff": 1.0, "top_n": 1}) == TriageCutoffs(0.0, 1.0, 1.0, 1)

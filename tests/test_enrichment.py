@@ -210,7 +210,8 @@ def test_enrich_multimodal_reaches_every_wrapped_name(bundle, monkeypatch):
     img, _ = render_scene(random_scene(4242, n_windows=1))
     enriched = enrich_multimodal(
         "it crashed", [img], bundle.detection_params, bundle.filter_model,
-        bundle.category_model, entity_dictionaries(), lm=bundle.lm)
+        bundle.category_model, entity_dictionaries(), lm=bundle.lm,
+        app_dictionary=bundle.term_dictionary)
     assert enriched.image_windows
     assert sorted(calls) == sorted([
         "detect_contour_boxes", "detect_edge_boxes", "window_features",

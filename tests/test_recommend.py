@@ -10,7 +10,6 @@ from tickettriage.recommend import (
     TriageCutoffs,
     TriageModels,
     compose_category,
-    decompose_category,
     display_category,
     load_corpus,
     save_corpus,
@@ -23,7 +22,7 @@ from tickettriage.search import IndexDoc, LocalWebAdapter, ResourcePool, SearchI
 
 def test_compose_decompose_round_trip():
     label = compose_category("network", "vpn", "timeout")
-    assert decompose_category(label) == ("network", "vpn", "timeout")
+    assert label.split(CATEGORY_SEP) == ["network", "vpn", "timeout"]
     assert display_category(label) == "network/vpn/timeout"
 
 
@@ -32,8 +31,6 @@ def test_compose_validation():
         compose_category("a", "", "c")
     with pytest.raises(ParameterError):
         compose_category("a" + CATEGORY_SEP, "b", "c")
-    with pytest.raises(ParameterError):
-        decompose_category("flat-label")
 
 
 def _record(i, cat, resolution=None):
@@ -116,7 +113,7 @@ class _Stub:
 
 def _models(resolv_conf, cat_conf, resolv="net-ops", cat=None, subfield_conf=0.9):
     cat = cat or compose_category("network", "vpn", "timeout")
-    f1, f2, f3 = decompose_category(cat)
+    f1, f2, f3 = cat.split(CATEGORY_SEP)
     return TriageModels(
         vectorizer=TfidfVectorizer().fit(["vpn timeout"]),
         resolver_pair=(_Stub(resolv, resolv_conf), _Stub(resolv, resolv_conf)),
