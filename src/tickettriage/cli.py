@@ -41,14 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(t, seed=True)
     t.add_argument("--corpus", required=True, help="corpus directory from gen")
     t.add_argument("--out", required=True, help="bundle file to write")
-    t.add_argument("--freq-threshold", type=int, default=None, dest="freq_threshold")
 
     r = sub.add_parser("triage", help="triage tickets against a bundle")
     _add_common(r)
     r.add_argument("--bundle", required=True)
     r.add_argument("--mode", choices=("text", "multimodal"), default=None)
-    r.add_argument("--tickets", help="JSONL ticket file")
-    r.add_argument("--text", help="triage a single ticket text")
+    source = r.add_mutually_exclusive_group()
+    source.add_argument("--tickets", help="JSONL ticket file")
+    source.add_argument("--text", help="triage a single ticket text")
     r.add_argument("--corpus-dir", default=".", dest="corpus_dir",
                    help="base directory for attachment paths")
     r.add_argument("--top-n", type=int, default=None, dest="top_n")
@@ -116,10 +116,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     from .bundle import save_bundle
     from .training import train_bundle
-    cfg = _config_for(args, {"seed": args.seed,
-                             "freq_threshold": args.freq_threshold})
-    bundle = train_bundle(args.corpus, seed=cfg.get("seed", 0),
-                          freq_threshold=cfg.get("freq_threshold"))
+    cfg = _config_for(args, {"seed": args.seed})
+    bundle = train_bundle(args.corpus, seed=cfg.get("seed", 0))
     save_bundle(bundle, args.out)
     print(json.dumps({"bundle": args.out, **bundle.meta}, sort_keys=True))
     return 0
@@ -127,41 +125,18 @@ def cmd_train(args) -> int:
 
 def cmd_triage(args) -> int:
     from .bundle import load_bundle
-    from .evalharness import enrich_for_mode
-    from .recommend import TicketRecord, display_category, load_corpus, triage
-    from .search import LocalWebAdapter
+    from .evalharness import triage_records
+    from .recommend import TicketRecord, load_corpus
 
     if args.text is None and not args.tickets:
         raise ParameterError("triage needs --tickets or --text")
     cfg = _config_for(args, {"mode": args.mode, "top_n": args.top_n})
-    mode = cfg.get("mode", "text")
     cutoffs = _cutoffs(cfg)
+    records = (load_corpus(args.tickets) if args.text is None
+               else [TicketRecord("cli-0", args.text, (), "", "-", "-", "-")])
     bundle = load_bundle(args.bundle)
-    adapter = LocalWebAdapter(bundle.web_pages) if bundle.web_pages else None
-
-    if args.text is not None:
-        records = [TicketRecord("cli-0", args.text, (), "", "-", "-", "-")]
-    else:
-        records = load_corpus(args.tickets)
-
-    rows = []
-    for record in records:
-        text, flags = enrich_for_mode(record, mode, bundle, args.corpus_dir)
-        result = triage(text, bundle.models, bundle.resolution_db, bundle.index,
-                        adapter, bundle.pool, cutoffs)
-        rows.append({
-            "id": record.id,
-            "mode": mode,
-            "enriched_text": text,
-            "resolver_group": result.resolver_group,
-            "manual_queue": result.manual_queue,
-            "problem_category": (display_category(result.problem_category)
-                                 if result.problem_category else None),
-            "resolutions": result.resolutions,
-            "path": result.path,
-            "confidences": {k: round(v, 6) for k, v in result.confidences.items()},
-            "degraded": sorted(set(result.degraded + flags)),
-        })
+    rows = [row for _, row in triage_records(args.corpus_dir, records, bundle,
+                                             cfg.get("mode", "text"), cutoffs)]
     _write_rows(rows, args.out)
     return 0
 
@@ -177,10 +152,10 @@ def cmd_eval(args) -> int:
     cutoffs = _cutoffs(cfg)
     if args.limit is not None and args.limit < 1:
         raise ParameterError("--limit must be >= 1")
-    bundle = load_bundle(args.bundle)
     records = load_corpus(os.path.join(args.corpus, "tickets.jsonl"))
     if args.limit is not None:
         records = records[:args.limit]
+    bundle = load_bundle(args.bundle)
 
     modes = ("text", "multimodal") if mode == "both" else (mode,)
     all_rows = []

@@ -15,7 +15,6 @@ _SCHEMA: dict[str, type] = {
     "conf_resolv_cutoff": float,
     "conf_prob_cutoff": float,
     "conf_subfield_cutoff": float,
-    "freq_threshold": int,
     "image_only_fraction": float,
     "count": int,
     "mode": str,

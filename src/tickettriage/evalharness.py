@@ -143,39 +143,46 @@ def enrich_for_mode(record: TicketRecord, mode: str, bundle: ModelBundle,
     return enriched.enriched_text, flags
 
 
-def evaluate_corpus(corpus_dir: str, records: Sequence[TicketRecord],
-                    bundle: ModelBundle, mode: str,
-                    cutoffs: Optional[TriageCutoffs] = None) -> tuple[dict, list[dict]]:
-    """Triage every ticket in the given mode; summary metrics + per-ticket rows."""
-    cutoffs = cutoffs or TriageCutoffs()
+def triage_records(corpus_dir: str, records: Sequence[TicketRecord],
+                   bundle: ModelBundle, mode: str, cutoffs: TriageCutoffs):
+    """Enrich and triage each ticket in the given mode; yields (result, row),
+    where row is the decision row `triage` prints for the ticket."""
     adapter = LocalWebAdapter(bundle.web_pages) if bundle.web_pages else None
-    rows = []
-    n = len(records)
-    covered = 0
-    routing_correct = 0
-    category_correct = 0
     for record in records:
         text, flags = enrich_for_mode(record, mode, bundle, corpus_dir)
         result = triage(text, bundle.models, bundle.resolution_db, bundle.index,
                         adapter, bundle.pool, cutoffs)
-        cat_ok = result.problem_category == record.category
-        category_correct += cat_ok
-        if result.resolver_group is not None:
-            covered += 1
-            routing_correct += result.resolver_group == record.resolver_group
-        rows.append({
+        yield result, {
             "id": record.id,
             "mode": mode,
+            "enriched_text": text,
             "resolver_group": result.resolver_group,
             "manual_queue": result.manual_queue,
             "problem_category": (display_category(result.problem_category)
                                  if result.problem_category else None),
+            "resolutions": result.resolutions,
             "path": result.path,
+            "confidences": {k: round(v, 6) for k, v in result.confidences.items()},
             "degraded": sorted(set(result.degraded + flags)),
-            "routing_correct": (result.resolver_group == record.resolver_group
-                                if result.resolver_group is not None else None),
-            "category_correct": bool(cat_ok),
-        })
+        }
+
+
+def evaluate_corpus(corpus_dir: str, records: Sequence[TicketRecord],
+                    bundle: ModelBundle, mode: str,
+                    cutoffs: Optional[TriageCutoffs] = None) -> tuple[dict, list[dict]]:
+    """Triage every ticket in the given mode; summary metrics + per-ticket rows
+    (the `triage` row plus routing_correct and category_correct)."""
+    rows = []
+    decisions = triage_records(corpus_dir, records, bundle, mode, cutoffs or TriageCutoffs())
+    for record, (result, row) in zip(records, decisions):
+        row["routing_correct"] = (result.resolver_group == record.resolver_group
+                                  if result.resolver_group is not None else None)
+        row["category_correct"] = result.problem_category == record.category
+        rows.append(row)
+    n = len(rows)
+    covered = sum(r["routing_correct"] is not None for r in rows)
+    routing_correct = sum(r["routing_correct"] is True for r in rows)
+    category_correct = sum(r["category_correct"] for r in rows)
     summary = {
         "mode": mode,
         "n": n,

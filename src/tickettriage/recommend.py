@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .classify import TextClassifierModel, TfidfVectorizer, ensemble_predict
-from .errors import ParameterError
+from .errors import ConsistencyError, ParameterError
 from .search import (
     RankedResult,
     ResourcePool,
@@ -27,6 +27,7 @@ from .search import (
 CATEGORY_SEP = "\x1f"
 
 SUBFIELDS = ("category_f1", "category_f2", "category_f3")
+_REQUIRED = ("id", "text", "resolver_group", *SUBFIELDS)  # string fields of a ticket line
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,27 @@ class TicketRecord:
         }, sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "TicketRecord":
+    def from_json(cls, line: str | bytes) -> "TicketRecord":
         d = json.loads(line)
+        if not isinstance(d, dict) or not all(isinstance(d.get(k), str) for k in _REQUIRED):
+            raise ValueError(f"not an object with string fields {', '.join(_REQUIRED)}")
         return cls(d["id"], d["text"], tuple(d.get("attachments", ())),
                    d["resolver_group"], d["category_f1"], d["category_f2"],
                    d["category_f3"], d.get("resolution"))
 
 
 def load_corpus(path) -> list[TicketRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return [TicketRecord.from_json(line) for line in fh if line.strip()]
+    """Reads a JSONL ticket file; a malformed line, invalid UTF-8 included,
+    raises ConsistencyError naming path:line."""
+    records = []
+    with open(path, "rb") as fh:  # json.loads decodes each line itself
+        for lineno, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    records.append(TicketRecord.from_json(line))
+            except (ValueError, TypeError) as exc:  # TypeError: attachments not a list
+                raise ConsistencyError(f"{path}:{lineno}: bad ticket: {exc}") from exc
+    return records
 
 
 def save_corpus(records: Sequence[TicketRecord], path) -> None:

@@ -164,8 +164,8 @@ class SearchIndex:
 # ---------------------------------------------------------------------------
 # web search adapter
 
-WebAdapter = Callable[[str], list[tuple[str, str, str, float]]]
-# query -> [(doc_id, title, snippet, raw_score)]
+WebAdapter = Callable[[str], list[tuple[str, str, float]]]
+# query -> [(doc_id, snippet, raw_score)]
 
 
 class LocalWebAdapter:
@@ -173,15 +173,13 @@ class LocalWebAdapter:
 
     def __init__(self, pages: Sequence[dict]):
         # pages: {"id", "title", "body"}
-        self._title_body = {p["id"]: (p["title"], p["body"]) for p in pages}
         self._index = SearchIndex([
             IndexDoc(p["id"], f"{p['title']} {p['body']}", {}, resolution=p["body"])
             for p in pages
         ])
 
-    def __call__(self, query: str) -> list[tuple[str, str, str, float]]:
-        results = self._index.search(query)
-        return [(r.doc_id, *self._title_body[r.doc_id], r.d) for r in results]
+    def __call__(self, query: str) -> list[tuple[str, str, float]]:
+        return [(r.doc_id, r.snippet, r.d) for r in self._index.search(query)]
 
 
 def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedResult]:
@@ -199,7 +197,7 @@ def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedR
         return []
     best: dict[str, tuple[str, float]] = {}
     order: list[str] = []
-    for doc_id, _title, snippet, score in raw:
+    for doc_id, snippet, score in raw:
         if doc_id not in best:
             order.append(doc_id)
             best[doc_id] = (snippet, score)

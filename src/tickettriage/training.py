@@ -94,8 +94,7 @@ def _tfidf_matrix(vectorizer: TfidfVectorizer, texts: list[str]) -> sparse.csr_m
                           for i in range(0, len(texts), 256)], format="csr")
 
 
-def train_bundle(corpus_dir: str, seed: int = 0,
-                 freq_threshold: int | None = None) -> ModelBundle:
+def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
     """Train every pipeline component from a corpus directory."""
     corpus = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
     if not corpus:
@@ -103,8 +102,7 @@ def train_bundle(corpus_dir: str, seed: int = 0,
     db = ResolutionDB.from_file(os.path.join(corpus_dir, "resolutions.json"))
     web_pages = _load_web_pages(os.path.join(corpus_dir, "webpages.jsonl"))
 
-    if freq_threshold is None:
-        freq_threshold = max(2, len(corpus) // 50)
+    freq_threshold = max(2, len(corpus) // 50)
     split = split_head_tail(corpus, freq_threshold, db)
 
     texts = [enrich_text_only(r.text) for r in corpus]

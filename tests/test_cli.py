@@ -71,6 +71,47 @@ def test_triage_without_input_is_a_usage_error_before_loading(tmp_path, capsys):
     assert "--tickets or --text" in capsys.readouterr().err
 
 
+def test_triage_tickets_and_text_together_are_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["triage", "--bundle", str(tmp_path / "m.bin"),
+              "--tickets", str(tmp_path / "t.jsonl"), "--text", "printer is broken"])
+    assert exc.value.code == 2
+
+
+def test_freq_threshold_is_a_usage_error(tmp_path, capsys):
+    # the split's threshold is worked out from the corpus size; nothing sets it
+    argv = ["train", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "m.bin")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("freq_threshold = 9\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--freq-threshold", "9"])
+    assert exc.value.code == 2
+
+
+_GOOD_TICKET = json.dumps({"id": "t1", "text": "vpn drops", "resolver_group": "network",
+                           "category_f1": "a", "category_f2": "b", "category_f3": "c"})
+
+
+@pytest.mark.parametrize("bad_line", ['{"id": "x", "text": "vpn"}', "not json", "[1, 2]"])
+@pytest.mark.parametrize("command", ["triage", "eval", "train"])
+def test_malformed_ticket_file_is_a_runtime_failure(tmp_path, capsys, bundle_path,
+                                                    command, bad_line):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    tickets = corpus / "tickets.jsonl"
+    tickets.write_text(f"{_GOOD_TICKET}\n{bad_line}\n")
+    # the tickets are read before the bundle, so a real and a missing one fail alike
+    outs = [str(tmp_path / "out.bin")] if command == "train" else [
+        bundle_path, str(tmp_path / "missing.bin")]
+    for path in outs:
+        argv = {"triage": ["triage", "--bundle", path, "--tickets", str(tickets)],
+                "eval": ["eval", "--bundle", path, "--corpus", str(corpus)],
+                "train": ["train", "--corpus", str(corpus), "--out", path]}[command]
+        assert main(argv) == 3, path
+        assert f"{tickets}:2" in capsys.readouterr().err, path
+
+
 # one out-of-range value per cutoff key
 _BAD_CUTOFFS = ("conf_resolv_cutoff = 7.0", "conf_prob_cutoff = -0.5",
                 "conf_subfield_cutoff = 1.01", "top_n = -1", "top_n = 0")
@@ -136,6 +177,26 @@ def test_triage_single_text(bundle_path, capsys):
     assert "resolver_group" in row and "resolutions" in row
 
 
+def test_triage_rows_are_eval_rows_without_correctness(bundle_path, corpus_dir,
+                                                      tmp_path, capsys):
+    tickets = tmp_path / "tickets.jsonl"
+    lines = (Path(corpus_dir) / "tickets.jsonl").read_text(encoding="utf-8").splitlines()
+    tickets.write_text("\n".join(lines[:20]) + "\n", encoding="utf-8")
+    triaged, evaluated = tmp_path / "triage.jsonl", tmp_path / "eval.jsonl"
+    assert main(["triage", "--bundle", bundle_path, "--tickets", str(tickets),
+                 "--corpus-dir", corpus_dir, "--mode", "multimodal",
+                 "--out", str(triaged)]) == 0
+    assert main(["eval", "--bundle", bundle_path, "--corpus", corpus_dir,
+                 "--mode", "multimodal", "--limit", "20", "--out", str(evaluated)]) == 0
+    triage_rows = [json.loads(line) for line in triaged.read_text().splitlines()]
+    eval_rows = [json.loads(line) for line in evaluated.read_text().splitlines()]
+    correctness = {"routing_correct", "category_correct"}
+    assert len(triage_rows) == 20
+    assert all(correctness <= set(row) for row in eval_rows)
+    assert [{k: v for k, v in row.items() if k not in correctness}
+            for row in eval_rows] == triage_rows
+
+
 def test_eval_command_reports_both_modes(bundle_path, corpus_dir, capsys):
     rc = main(["eval", "--bundle", bundle_path, "--corpus", corpus_dir,
                "--limit", "20"])
@@ -183,7 +244,7 @@ def _passed_on(monkeypatch, tmp_path, command, config_text=None):
     monkeypatch.setattr(bundle_io, "load_bundle", lambda path: SimpleNamespace(
         web_pages=[], models=None, resolution_db=None, index=None, pool=None))
     monkeypatch.setattr(evalharness, "enrich_for_mode", enrich)
-    monkeypatch.setattr(recommend, "triage", triage)
+    monkeypatch.setattr(evalharness, "triage", triage)
     monkeypatch.setattr(recommend, "load_corpus", lambda path: [])
     monkeypatch.setattr(evalharness, "evaluate_corpus", evaluate)
 
@@ -207,7 +268,7 @@ _CUTOFF_FIELDS = {"conf_resolv_cutoff": "conf_resolv", "conf_prob_cutoff": "conf
 # (config key, non-default value, command that reads it)
 _KEY_USES = [
     ("seed", "7", "gen"), ("count", "12", "gen"), ("image_only_fraction", "0.25", "gen"),
-    ("seed", "7", "train"), ("freq_threshold", "9", "train"),
+    ("seed", "7", "train"),
     ("mode", "multimodal", "triage"), ("mode", "text", "eval"),
 ] + [(key, value, command) for command in ("triage", "eval")
      for key, value in (("conf_resolv_cutoff", "0.55"), ("conf_prob_cutoff", "0.45"),

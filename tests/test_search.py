@@ -107,6 +107,18 @@ def test_local_web_adapter_returns_matching_pages():
     assert results[0].source == "web"
 
 
+def test_local_web_adapter_shows_each_hit_its_own_page():
+    # a page without a body still gets a non-empty snippet (its own text)
+    pages = [{"id": "kb1", "title": "vpn timeout", "body": ""},
+             {"id": "kb2", "title": "printer", "body": "clear the tray"}]
+    results = web_search(LocalWebAdapter(pages), "vpn timeout")
+    assert results[0].doc_id == "kb1" and results[0].snippet.strip() == "vpn timeout"
+    # with a repeated id, the hit shows the body of the page that matched
+    pages = [{"id": "kb1", "title": "vpn timeout", "body": "restart the client"},
+             {"id": "kb1", "title": "printer", "body": "new body"}]
+    assert LocalWebAdapter(pages)("vpn timeout") == [("kb1", "restart the client", 1.0)]
+
+
 def test_web_search_degrades_on_adapter_failure():
     def broken(query):
         raise ConnectionError("socket closed")
@@ -116,15 +128,15 @@ def test_web_search_degrades_on_adapter_failure():
 @pytest.mark.parametrize("limit", [0, -1])
 def test_web_search_limit_below_one_returns_nothing(limit):
     def adapter(query):
-        return [("x", "t", "a", 1.0), ("y", "t", "b", 2.0), ("z", "t", "c", 3.0)]
+        return [("x", "a", 1.0), ("y", "b", 2.0), ("z", "c", 3.0)]
     assert len(web_search(adapter, "q")) == 3
     assert web_search(adapter, "q", limit=limit) == []
 
 
 def test_web_search_dedupes_ids_keeping_best_score():
     def adapter(query):
-        return [("x", "t", "first", 1.0), ("x", "t", "better", 3.0),
-                ("y", "t", "other", 2.0)]
+        return [("x", "first", 1.0), ("x", "better", 3.0),
+                ("y", "other", 2.0)]
     results = web_search(adapter, "q")
     assert [r.doc_id for r in results] == ["x", "y"]
     assert results[0].snippet == "better"
