@@ -10,6 +10,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .enrichment import EntityDictionaries, _load_alias_file, _load_term_file
+from .textextract import Dictionary, WordLM, train_lm
 
 
 def _data_path(name: str):
@@ -33,9 +34,8 @@ def entity_dictionaries() -> EntityDictionaries:
 
 
 @lru_cache(maxsize=None)
-def term_dictionary():
+def term_dictionary() -> Dictionary:
     """Dictionary of app/OS words for OCR token correction."""
-    from .textextract import Dictionary
     words: set[str] = set()
     d = entity_dictionaries()
     for app in d.apps:
@@ -44,6 +44,20 @@ def term_dictionary():
     for comp in d.components:
         words.update(comp.split())
     return Dictionary(words)
+
+
+def _lm_corpus() -> list[str]:
+    lines = list(phrase_bank())
+    for p in TAXONOMY:
+        lines += [f"{p.app} failed", f"{p.error_code} was reported", *p.symptoms]
+    return lines + [f"{os_name} {ver}" for os_name in ("Windows", "Linux", "Mac")
+                    for ver in ("10", "11", "13", "14", "20.04", "22.04")]
+
+
+@lru_cache(maxsize=None)
+def word_lm() -> WordLM:
+    """Word bigram LM over the phrase bank and taxonomy, for OCR correction."""
+    return train_lm(_lm_corpus())
 
 
 # ---------------------------------------------------------------------------

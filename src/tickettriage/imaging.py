@@ -29,9 +29,6 @@ from .raster import (
 
 log = logging.getLogger(__name__)
 
-APP_CATEGORIES = ("dialog", "console", "browser", "explorer", "other")
-OS_CATEGORIES = ("windows", "linux", "mac", "unknown")
-
 
 @dataclass(frozen=True, order=True)
 class Rect:
@@ -498,7 +495,6 @@ def _suppress_nested(boxes: list[CandidateBox],
 # ---------------------------------------------------------------------------
 # crop features + models
 
-FEATURE_VERSION = 3
 N_FEATURES = 27
 
 

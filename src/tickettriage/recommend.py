@@ -61,14 +61,15 @@ class TicketRecord:
         d = json.loads(line)
         if not isinstance(d, dict) or not all(isinstance(d.get(k), str) for k in _REQUIRED):
             raise ValueError(f"not an object with string fields {', '.join(_REQUIRED)}")
+        compose_category(*(d[sf] for sf in SUBFIELDS))  # ParameterError is a ValueError
         return cls(d["id"], d["text"], tuple(d.get("attachments", ())),
                    d["resolver_group"], d["category_f1"], d["category_f2"],
                    d["category_f3"], d.get("resolution"))
 
 
 def load_corpus(path) -> list[TicketRecord]:
-    """Reads a JSONL ticket file; a malformed line, invalid UTF-8 included,
-    raises ConsistencyError naming path:line."""
+    """Reads a JSONL ticket file; a malformed line (invalid UTF-8 or a bad
+    category sub-field included) raises ConsistencyError naming path:line."""
     records = []
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):

@@ -218,49 +218,43 @@ def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedR
 # ---------------------------------------------------------------------------
 # resource representation + CORI merge
 
-class ResourceRep:
-    """Unigram term distribution built from sampled resource documents."""
-
-    def __init__(self, texts: Sequence[str]):
-        counts: dict[str, int] = {}
-        for text in texts:
-            for tok in tokenize(text):
-                counts[tok] = counts.get(tok, 0) + 1
-        self.counts = counts
-        self.total = sum(counts.values())
-
-    def prob(self, term: str) -> float:
-        return self.counts.get(term, 0) / self.total if self.total else 0.0
-
-
 _POOL_LAMBDA = 0.7  # weight of a resource's own model against the background
 
 
+def _log_mix(p_resource: float, p_background: float) -> float:
+    return math.log(_POOL_LAMBDA * p_resource + (1 - _POOL_LAMBDA) * p_background + 1e-12)
+
+
+_UNSEEN = _log_mix(0.0, 0.0)  # a term neither resource has seen
+
+
 class ResourcePool:
-    """The two federated resources plus their combined background model."""
+    """The two federated resources as unigram LMs smoothed against their
+    combined background: per resource, one table of each background term's
+    log(λ·p_resource + (1−λ)·p_background + 1e-12)."""
 
     def __init__(self, corpus_texts: Sequence[str], web_texts: Sequence[str]):
-        self.reps = {"ticket_corpus": ResourceRep(corpus_texts),
-                     "web": ResourceRep(web_texts)}
-        self.background = ResourceRep(list(corpus_texts) + list(web_texts))
-
-    def _loglik(self, rep: ResourceRep, terms: list[str]) -> float:
-        return sum(
-            math.log(_POOL_LAMBDA * rep.prob(t) + (1 - _POOL_LAMBDA) * self.background.prob(t)
-                     + 1e-12)
-            for t in terms
-        ) / len(terms)
+        counts = {"ticket_corpus": Counter(t for text in corpus_texts for t in tokenize(text)),
+                  "web": Counter(t for text in web_texts for t in tokenize(text))}
+        background = counts["ticket_corpus"] + counts["web"]
+        bg_total = background.total()
+        self._tables = {}  # keyed in sorted order
+        for name, c in counts.items():
+            total = c.total()
+            self._tables[name] = {t: _log_mix(c[t] / total if total else 0.0, n / bg_total)
+                                  for t, n in background.items()}
 
     def resource_scores(self, query: str) -> dict[str, float]:
         """Per-query min-max normalized c in [0,1]; neutral 0.5 on empty/tied."""
         terms = tokenize(query)
-        names = sorted(self.reps)
         if not terms:
-            return {name: 0.5 for name in names}
-        raw = {name: self._loglik(self.reps[name], terms) for name in names}
+            return {name: 0.5 for name in self._tables}
+        # mean log-probability of the terms, summed in query order
+        raw = {name: sum(table.get(t, _UNSEEN) for t in terms) / len(terms)
+               for name, table in self._tables.items()}
         lo, hi = min(raw.values()), max(raw.values())
         if hi - lo < 1e-12:
-            return {name: 0.5 for name in names}
+            return {name: 0.5 for name in self._tables}
         return {name: (v - lo) / (hi - lo) for name, v in raw.items()}
 
 

@@ -1,6 +1,6 @@
 """Training orchestration: builds a complete model bundle from a generated
-corpus directory (text classifiers, window models, search index, language
-model, resource representations, resolution DB).
+corpus directory (text classifiers, window models, search index, resolution
+DB); the bundle itself builds its OCR LM, term dictionary and resource pool.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .bundle import ModelBundle
 from .classify import TfidfVectorizer, train_classifier
 from .enrichment import extract_entities, fill_slots
 from .errors import TrainingError
-from .fixtures import TAXONOMY, entity_dictionaries, phrase_bank, term_dictionary
+from .fixtures import entity_dictionaries
 from .imaging import (
     DetectionParams,
     candidate_boxes,
@@ -30,27 +30,14 @@ from .recommend import (
     load_corpus,
     split_head_tail,
 )
-from .search import IndexDoc, ResourcePool, SearchIndex
+from .search import IndexDoc, SearchIndex
 from .synthgen import random_scene, render_scene
-from .textextract import train_lm
 
 
 def enrich_text_only(text: str) -> str:
     """Text-mode enrichment: entities from the ticket text alone."""
     entities = extract_entities(text, entity_dictionaries())
     return fill_slots(text, entities).enriched_text
-
-
-def _lm_corpus() -> list[str]:
-    lines = list(phrase_bank())
-    for p in TAXONOMY:
-        lines.append(f"{p.app} failed")
-        lines.append(f"{p.error_code} was reported")
-        lines.extend(p.symptoms)
-    for os_name in ("Windows", "Linux", "Mac"):
-        for ver in ("10", "11", "13", "14", "20.04", "22.04"):
-            lines.append(f"{os_name} {ver}")
-    return lines
 
 
 def _window_training_set(seed: int):
@@ -128,18 +115,11 @@ def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
 
     docs = [
         IndexDoc(r.id, r.text + (" " + r.resolution if r.resolution else ""),
-                 {"resolver_group": r.resolver_group,
-                  "category_f1": r.category_f1,
-                  "category_f2": r.category_f2,
-                  "category_f3": r.category_f3},
+                 {"resolver_group": r.resolver_group, **{sf: getattr(r, sf) for sf in SUBFIELDS}},
                  category=r.category, resolution=r.resolution)
         for r in corpus
     ]
     index = SearchIndex(docs)
-    pool = ResourcePool([d.text for d in docs],
-                        [f"{p['title']} {p['body']}" for p in web_pages])
-
-    lm = train_lm(_lm_corpus())
 
     Xw, yw, Xcat, app_labels, os_labels = _window_training_set(seed)
     filter_model = train_filter_model(Xw, yw, seed)
@@ -149,9 +129,6 @@ def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
         models=models,
         resolution_db=db,
         index=index,
-        pool=pool,
-        lm=lm,
-        term_dictionary=term_dictionary(),
         filter_model=filter_model,
         category_model=category_model,
         detection_params=DetectionParams(),

@@ -1,8 +1,9 @@
 """Federated search as first written: dict/tuple posting lists walked in
-Python, and a CORI merge that rebuilds every result before truncating.
+Python, a CORI merge that rebuilds every result before truncating, and
+resource scores from per-term probability calls on three tokenized count
+models.
 
-Kept verbatim as the reference the array-backed package code must match
-exactly; see test_search_oracle.py.
+Kept verbatim as the reference the package code must match exactly; see test_search_oracle.py.
 """
 
 import math
@@ -10,7 +11,14 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from tickettriage.classify import tokenize
-from tickettriage.search import BM25_B, BM25_K1, IndexDoc, RankedResult, cori_score
+from tickettriage.search import (
+    _POOL_LAMBDA,
+    BM25_B,
+    BM25_K1,
+    IndexDoc,
+    RankedResult,
+    cori_score,
+)
 
 
 class SearchIndex:
@@ -79,3 +87,46 @@ def cori_merge(results: Sequence[RankedResult], resource_scores: dict[str, float
     ]
     scored.sort(key=lambda r: (-r.cori_score, r.source, r.doc_id))
     return scored[:top_n]
+
+
+class ResourceRep:
+    """Unigram term distribution built from sampled resource documents."""
+
+    def __init__(self, texts: Sequence[str]):
+        counts: dict[str, int] = {}
+        for text in texts:
+            for tok in tokenize(text):
+                counts[tok] = counts.get(tok, 0) + 1
+        self.counts = counts
+        self.total = sum(counts.values())
+
+    def prob(self, term: str) -> float:
+        return self.counts.get(term, 0) / self.total if self.total else 0.0
+
+
+class ResourcePool:
+    """The two federated resources plus their combined background model."""
+
+    def __init__(self, corpus_texts: Sequence[str], web_texts: Sequence[str]):
+        self.reps = {"ticket_corpus": ResourceRep(corpus_texts),
+                     "web": ResourceRep(web_texts)}
+        self.background = ResourceRep(list(corpus_texts) + list(web_texts))
+
+    def _loglik(self, rep: ResourceRep, terms: list[str]) -> float:
+        return sum(
+            math.log(_POOL_LAMBDA * rep.prob(t) + (1 - _POOL_LAMBDA) * self.background.prob(t)
+                     + 1e-12)
+            for t in terms
+        ) / len(terms)
+
+    def resource_scores(self, query: str) -> dict[str, float]:
+        """Per-query min-max normalized c in [0,1]; neutral 0.5 on empty/tied."""
+        terms = tokenize(query)
+        names = sorted(self.reps)
+        if not terms:
+            return {name: 0.5 for name in names}
+        raw = {name: self._loglik(self.reps[name], terms) for name in names}
+        lo, hi = min(raw.values()), max(raw.values())
+        if hi - lo < 1e-12:
+            return {name: 0.5 for name in names}
+        return {name: (v - lo) / (hi - lo) for name, v in raw.items()}

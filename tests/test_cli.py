@@ -64,6 +64,20 @@ def test_missing_bundle_is_a_runtime_failure(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("payload", ["truncated", "garbage"])
+def test_corrupt_bundle_payload_is_a_runtime_failure(tmp_path, capsys, bundle_path, payload):
+    # a valid header over a payload that does not unpickle
+    data = open(bundle_path, "rb").read()
+    path = tmp_path / "m.bin"
+    path.write_bytes(data[:len(data) // 2] if payload == "truncated"
+                     else data[:5] + b"not a pickle at all")
+    rc = main(["triage", "--bundle", str(path), "--text", "printer is broken"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_triage_without_input_is_a_usage_error_before_loading(tmp_path, capsys):
     # the missing bundle is never opened: the usage error comes first
     rc = main(["triage", "--bundle", str(tmp_path / "missing.bin")])
@@ -89,11 +103,16 @@ def test_freq_threshold_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-_GOOD_TICKET = json.dumps({"id": "t1", "text": "vpn drops", "resolver_group": "network",
-                           "category_f1": "a", "category_f2": "b", "category_f3": "c"})
+_TICKET = {"id": "t1", "text": "vpn drops", "resolver_group": "network",
+           "category_f1": "a", "category_f2": "b", "category_f3": "c"}
+_GOOD_TICKET = json.dumps(_TICKET)
+# category sub-fields that compose_category rejects
+_BAD_SUBFIELDS = (json.dumps({**_TICKET, "id": "t2", "category_f2": ""}),
+                  json.dumps({**_TICKET, "id": "t2", "category_f1": "a\x1fb"}))
 
 
-@pytest.mark.parametrize("bad_line", ['{"id": "x", "text": "vpn"}', "not json", "[1, 2]"])
+@pytest.mark.parametrize("bad_line", ['{"id": "x", "text": "vpn"}', "not json", "[1, 2]",
+                                      *_BAD_SUBFIELDS])
 @pytest.mark.parametrize("command", ["triage", "eval", "train"])
 def test_malformed_ticket_file_is_a_runtime_failure(tmp_path, capsys, bundle_path,
                                                     command, bad_line):

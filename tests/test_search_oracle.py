@@ -1,9 +1,11 @@
-"""Old-vs-new oracle for the array-backed BM25 index and the CORI merge.
+"""Old-vs-new oracle for the array-backed BM25 index, the CORI merge and
+the table-backed resource scores.
 
-search_reference.py holds the dict-based index and the merge the package
-started from. On the seeded 400-ticket corpus, with and without resolver and
-sub-field filters, and on hand-built and random edge cases, the package must
-return the same result lists: ids, d, snippets, categories and order.
+search_reference.py holds the dict-based index, the merge and the resource
+pool the package started from. On the seeded 400-ticket corpus, with and
+without resolver and sub-field filters, and on hand-built and random edge
+cases, the package must return the same result lists (ids, d, snippets,
+categories and order) and the same resource scores, bit for bit.
 """
 
 import os
@@ -14,7 +16,7 @@ import numpy as np
 
 import search_reference as ref
 from tickettriage.recommend import SUBFIELDS, load_corpus
-from tickettriage.search import IndexDoc, RankedResult, SearchIndex, cori_merge
+from tickettriage.search import IndexDoc, RankedResult, ResourcePool, SearchIndex, cori_merge
 from tickettriage.training import enrich_text_only
 
 
@@ -147,3 +149,40 @@ def test_cori_merge_random_cases_match_reference():
         if rng.rand() < 0.7:
             scores["ticket_corpus"] = float(rng.choice([0.0, 0.5, 1.0]))
         _same_merge(results, scores, int(rng.randint(0, 12)))
+
+
+# a query with no terms, one whose terms no resource has, one with repeats
+_EDGE_QUERIES = ("", "... !!", "zzqx blorf quuxly", "printer jam printer vpn jam printer")
+
+
+def _same_resource_scores(pool, corpus_texts, web_texts, queries):
+    reference = ref.ResourcePool(corpus_texts, web_texts)
+    for query in queries:
+        assert pool.resource_scores(query) == reference.resource_scores(query), query
+
+
+def test_resource_scores_match_reference_on_seeded_corpus(bundle, corpus_dir):
+    records = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
+    queries = [enrich_text_only(r.text) for r in records] + list(_EDGE_QUERIES)
+    corpus_texts = [d.text for d in bundle.index.docs]
+    web_texts = [f"{p['title']} {p['body']}" for p in bundle.web_pages]
+    assert web_texts
+    # the pool the bundle built for itself
+    _same_resource_scores(bundle.pool, corpus_texts, web_texts, queries)
+    # a pool with no web pages
+    _same_resource_scores(ResourcePool(corpus_texts, []), corpus_texts, [], queries)
+
+
+def test_resource_scores_random_small_pools_match_reference():
+    rng = np.random.RandomState(13)
+    words = ["printer", "vpn", "jam", "error", "drop", "disk", "sync"]
+
+    def texts():
+        return [" ".join(rng.choice(words, rng.randint(0, 5))) for _ in range(rng.randint(0, 4))]
+
+    for _ in range(300):
+        corpus_texts, web_texts = texts(), texts()
+        queries = [" ".join(rng.choice(words + ["unknown"], rng.randint(0, 6)))
+                   for _ in range(5)]
+        _same_resource_scores(ResourcePool(corpus_texts, web_texts), corpus_texts,
+                              web_texts, queries + list(_EDGE_QUERIES))
