@@ -72,24 +72,32 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=-1, keepdims=True)
 
 
-def _fit_platt(scores: np.ndarray, correct: np.ndarray,
-               iters: int = 500, lr: float = 0.5) -> tuple[float, float]:
-    """1-D logistic fit of P(correct | score); deterministic."""
-    # degenerate validation sets: fall back to a fixed squashing
-    if len(scores) == 0:
-        return 1.0, 0.0
+# full-batch training: Platt calibration, then the two heads
+_PLATT_ITERS = 500
+_PLATT_LR = 0.5
+_LINEAR_EPOCHS = 60
+_LINEAR_LR = 1.0
+_MLP_HIDDEN = 64
+_MLP_EPOCHS = 120
+_MLP_LR = 0.5
+_REG = 1e-4  # L2 weight of both heads
+
+
+def _fit_platt(scores: np.ndarray, correct: np.ndarray) -> tuple[float, float]:
+    """1-D logistic fit of P(correct | score) on a non-empty holdout; deterministic."""
+    # degenerate holdouts: fall back to a fixed squashing
     if correct.all():
         return 2.0, 1.0
     if not correct.any():
         return 1.0, -3.0
     a, b = 1.0, 0.0
     y = correct.astype(np.float64)
-    for _ in range(iters):
+    for _ in range(_PLATT_ITERS):
         p = _sigmoid(a * scores + b)
         ga = ((p - y) * scores).mean()
         gb = (p - y).mean()
-        a -= lr * ga
-        b -= lr * gb
+        a -= _PLATT_LR * ga
+        b -= _PLATT_LR * gb
     return float(a), float(b)
 
 
@@ -108,9 +116,7 @@ class TextClassifierModel:
         return H @ self.params["W2"].T + self.params["b2"]
 
     def _raw_confidence(self, scores: np.ndarray) -> np.ndarray:
-        """Margin gap between the best and second-best class."""
-        if scores.shape[1] == 1:
-            return scores[:, 0]
+        """Margin gap between the best and second-best of at least 2 classes."""
         part = np.sort(scores, axis=1)
         return part[:, -1] - part[:, -2]
 
@@ -122,42 +128,42 @@ class TextClassifierModel:
         return self.classes[idx], float(conf)
 
 
-def _train_linear(X, yi, n_classes, seed, epochs=60, lr=1.0, reg=1e-4):
+def _train_linear(X, yi, n_classes, seed):
     rng = np.random.RandomState(seed)
     W = rng.normal(0, 0.01, (n_classes, X.shape[1]))
     b = np.zeros(n_classes)
     Y = np.where(np.eye(n_classes)[yi] > 0, 1.0, -1.0)  # (n, c)
     n = len(yi)
-    for t in range(epochs):
-        step = lr / (1.0 + 0.05 * t)
+    for t in range(_LINEAR_EPOCHS):
+        step = _LINEAR_LR / (1.0 + 0.05 * t)
         M = X @ W.T + b  # margins
         active = (Y * M) < 1.0
         G = -(Y * active) / n  # subgradient of hinge
-        W -= step * (G.T @ X + reg * W)
+        W -= step * (G.T @ X + _REG * W)
         b -= step * G.sum(axis=0)
     return {"W": W, "b": b}
 
 
-def _train_mlp(X, yi, n_classes, seed, hidden=64, epochs=120, lr=0.5, reg=1e-4):
+def _train_mlp(X, yi, n_classes, seed):
     rng = np.random.RandomState(seed)
-    W1 = rng.normal(0, 0.05, (hidden, X.shape[1]))
-    b1 = np.zeros(hidden)
-    W2 = rng.normal(0, 0.05, (n_classes, hidden))
+    W1 = rng.normal(0, 0.05, (_MLP_HIDDEN, X.shape[1]))
+    b1 = np.zeros(_MLP_HIDDEN)
+    W2 = rng.normal(0, 0.05, (n_classes, _MLP_HIDDEN))
     b2 = np.zeros(n_classes)
     onehot = np.eye(n_classes)[yi]
     n = len(yi)
-    for _ in range(epochs):
+    for _ in range(_MLP_EPOCHS):
         H = np.maximum(0.0, X @ W1.T + b1)
         G = (_softmax(H @ W2.T + b2) - onehot) / n
-        gW2 = G.T @ H + reg * W2
+        gW2 = G.T @ H + _REG * W2
         gb2 = G.sum(axis=0)
         GH = (G @ W2) * (H > 0)
-        gW1 = GH.T @ X + reg * W1
+        gW1 = GH.T @ X + _REG * W1
         gb1 = GH.sum(axis=0)
-        W2 -= lr * gW2
-        b2 -= lr * gb2
-        W1 -= lr * gW1
-        b1 -= lr * gb1
+        W2 -= _MLP_LR * gW2
+        b2 -= _MLP_LR * gb2
+        W1 -= _MLP_LR * gW1
+        b1 -= _MLP_LR * gb1
     return {"W1": W1, "b1": b1, "W2": W2, "b2": b2}
 
 

@@ -75,8 +75,9 @@ def evaluate_detection(scenes: Sequence[tuple[Raster, GroundTruth]],
         counts[1] += fp
         counts[2] += fn
         blurred = blurred_gray(img, params)
-        for name, fetch in (("contour", detect_contour_boxes), ("edge", detect_edge_boxes)):
-            rtp, rfp, rfn = match_boxes([b.rect for b in fetch(blurred, params)], gold)
+        for name, boxes in (("contour", detect_contour_boxes(blurred)),
+                            ("edge", detect_edge_boxes(blurred, params))):
+            rtp, rfp, rfn = match_boxes([b.rect for b in boxes], gold)
             raw_counts[name][0] += rtp
             raw_counts[name][1] += rfp
             raw_counts[name][2] += rfn

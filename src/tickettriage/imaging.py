@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -165,15 +164,12 @@ def _rdp_count(pts: np.ndarray, eps: float) -> int:
 
 
 def _polygon_corners(boundary: np.ndarray, eps: float) -> int:
-    """Vertex count of the RDP-approximated closed boundary."""
-    if len(boundary) < 4:
-        return len(boundary)
+    """Vertex count of the RDP-approximated closed boundary of a component at
+    least 8 px wide, so the boundary has more than one distinct point."""
     closed = (boundary[0] == boundary[-1]).all()
     pts = (boundary[:-1] if closed else boundary).astype(np.float64)
     # split the closed curve at the point farthest from the start
     far = int(np.argmax(((pts - pts[0]) ** 2).sum(axis=1)))
-    if far == 0:
-        return 1
     chain_a = _rdp_count(pts[:far + 1], eps)
     chain_b = _rdp_count(np.concatenate([pts[far:], pts[:1]]), eps)
     return chain_a + chain_b - 2  # shared endpoints counted once
@@ -188,16 +184,14 @@ def blurred_gray(img: Raster, p: DetectionParams) -> GrayRaster:
     return gaussian_blur(to_grayscale(img), p.gaussian_sigma)
 
 
-def detect_contour_boxes(blurred: GrayRaster, p: DetectionParams) -> list[CandidateBox]:
+def detect_contour_boxes(blurred: GrayRaster) -> list[CandidateBox]:
     """Otsu binarization -> component border tracing -> rectangle test, on
     blurred_gray(img, p)."""
     white = blurred.array >= otsu_threshold(blurred)
 
     boxes: list[CandidateBox] = []
     for mask in (white, ~white):
-        labels, n = ndimage.label(mask)
-        if n == 0:
-            continue
+        labels, _ = ndimage.label(mask)
         slices = ndimage.find_objects(labels)
         areas = np.bincount(labels.ravel())
         for i in (np.flatnonzero(areas[1:] >= _MIN_COMPONENT_AREA) + 1).tolist():
@@ -272,35 +266,40 @@ def canny_edges(blurred: GrayRaster, low: float, high: float) -> np.ndarray:
     return keep[labels]
 
 
-def _row_segments(edges: np.ndarray, min_len: int, max_gap: int = 2,
-                  min_density: float = 0.8) -> list[tuple[int, int, int]]:
+_RUN_MAX_GAP = 2  # px of non-edge a line run spans
+_RUN_MIN_DENSITY = 0.8  # edge share of a kept run
+_MERGE_TOL = 2  # px apart that line runs still merge
+
+
+def _row_segments(edges: np.ndarray, min_len: int) -> list[tuple[int, int, int]]:
     """Dense horizontal edge runs per row as (y, x0, x1) with x1 inclusive.
 
-    A run spans gaps of up to max_gap pixels; it is kept when it is at least
-    min_len long and at least min_density of it is edge. Rows with fewer
-    edge pixels than min_len * min_density are skipped outright.
+    A run spans gaps of up to _RUN_MAX_GAP pixels; it is kept when it is at
+    least min_len long and at least _RUN_MIN_DENSITY of it is edge. Rows with
+    fewer edge pixels than min_len * _RUN_MIN_DENSITY are skipped outright.
     """
     ys, xs = np.nonzero(edges)
     if len(xs) == 0:
         return []
-    cut = np.flatnonzero((np.diff(ys) != 0) | (np.diff(xs) > max_gap + 1)) + 1
+    cut = np.flatnonzero((np.diff(ys) != 0) | (np.diff(xs) > _RUN_MAX_GAP + 1)) + 1
     first = np.concatenate(([0], cut))
     last = np.concatenate((cut, [len(xs)])) - 1
     span = xs[last] - xs[first] + 1
     count = last - first + 1
     row_count = np.count_nonzero(edges, axis=1)[ys[first]]
-    keep = ((row_count >= min_len * min_density) & (span >= min_len)
-            & (count / span >= min_density))
+    keep = ((row_count >= min_len * _RUN_MIN_DENSITY) & (span >= min_len)
+            & (count / span >= _RUN_MIN_DENSITY))
     return list(zip(ys[first[keep]].tolist(), xs[first[keep]].tolist(),
                     xs[last[keep]].tolist()))
 
 
-def _merge_lines(segs: list[tuple[int, int, int]], tol: int = 2) -> list[tuple[int, int, int]]:
-    """Merge near-collinear segments (same y +/- tol, overlapping spans)."""
+def _merge_lines(segs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Merge near-collinear segments (same y +/- _MERGE_TOL, overlapping spans)."""
     merged: list[list[int]] = []
     for y, a, b in sorted(segs):
         for m in merged:
-            if abs(y - m[0]) <= tol and a <= m[2] + tol and b >= m[1] - tol:
+            if (abs(y - m[0]) <= _MERGE_TOL and a <= m[2] + _MERGE_TOL
+                    and b >= m[1] - _MERGE_TOL):
                 if b - a > m[2] - m[1]:
                     m[0] = y
                 m[1] = min(m[1], a)
@@ -448,17 +447,14 @@ def size_filter(boxes: list[CandidateBox], p: DetectionParams) -> list[Candidate
 
 
 def dedup(boxes: list[CandidateBox], p: DetectionParams,
-          scores: Optional[dict[Rect, float]] = None) -> list[CandidateBox]:
-    """Greedy suppression of overlapping boxes.
+          scores: dict[Rect, float]) -> list[CandidateBox]:
+    """Greedy IoU suppression in confidence-descending order (classic NMS).
 
-    Order is confidence-descending when scores are given (classic NMS),
-    otherwise largest-area-first; ties break deterministically.
+    A rect without a score counts as 0.0, and ties go to the larger area, so
+    with no scores the order is largest-area-first; the kept boxes keep it.
     """
-    if scores is not None:
-        ordered = sorted(boxes, key=lambda b: (-scores.get(b.rect, 0.0),
-                                               -b.rect.area, b.rect, b.source))
-    else:
-        ordered = sorted(boxes, key=lambda b: (-b.rect.area, b.rect, b.source))
+    ordered = sorted(boxes, key=lambda b: (-scores.get(b.rect, 0.0),
+                                           -b.rect.area, b.rect, b.source))
     kept: list[CandidateBox] = []
     for box in ordered:
         if all(iou(box.rect, k.rect) < p.iou_dedup_threshold for k in kept):
@@ -469,25 +465,17 @@ def dedup(boxes: list[CandidateBox], p: DetectionParams,
 _NESTED_COVER = 0.85
 
 
-def _suppress_nested(boxes: list[CandidateBox],
-                     scores: dict[Rect, float]) -> list[CandidateBox]:
-    """Drop boxes mostly inside, or mostly covering, a higher-confidence box.
+def _suppress_nested(boxes: list[CandidateBox]) -> list[CandidateBox]:
+    """Drop boxes mostly inside, or mostly covering, an earlier kept box.
 
-    IoU suppression misses slivers and offset super-rects whose IoU with the
-    kept box is below the dedup threshold; asymmetric coverage catches them.
+    boxes is dedup's output, already in confidence-descending order. IoU
+    suppression misses slivers and offset super-rects whose IoU with the kept
+    box is below the dedup threshold; coverage of the smaller box catches them.
     """
-    ordered = sorted(boxes, key=lambda b: (-scores.get(b.rect, 0.0),
-                                           -b.rect.area, b.rect, b.source))
     kept: list[CandidateBox] = []
-    for box in ordered:
-        nested = False
-        for k in kept:
-            inter = box.rect.intersection_area(k.rect)
-            if (inter / box.rect.area >= _NESTED_COVER
-                    or inter / k.rect.area >= _NESTED_COVER):
-                nested = True
-                break
-        if not nested:
+    for box in boxes:
+        if all(box.rect.intersection_area(k.rect) / min(box.rect.area, k.rect.area)
+               < _NESTED_COVER for k in kept):
             kept.append(box)
     return kept
 
@@ -639,16 +627,22 @@ def _standardize(X: np.ndarray):
     return mean, scale
 
 
-def train_filter_model(X: np.ndarray, y: np.ndarray, seed: int = 0,
-                       epochs: int = 2000, lr: float = 0.3,
-                       hidden: int = 24) -> WindowFilterModel:
+# full-batch training of the window filter and of the two category heads
+_FILTER_EPOCHS = 2000
+_FILTER_LR = 0.3
+_FILTER_HIDDEN = 24
+_SOFTMAX_EPOCHS = 400
+_SOFTMAX_LR = 0.5
+
+
+def train_filter_model(X: np.ndarray, y: np.ndarray, seed: int = 0) -> WindowFilterModel:
     """Full-batch gradient descent; deterministic for a fixed seed."""
     mean, scale = _standardize(X)
     Xs = (X - mean) / scale
     rng = np.random.RandomState(seed)
-    W1 = rng.normal(0, 0.3, (hidden, X.shape[1]))
-    b1 = np.zeros(hidden)
-    w2 = rng.normal(0, 0.3, hidden)
+    W1 = rng.normal(0, 0.3, (_FILTER_HIDDEN, X.shape[1]))
+    b1 = np.zeros(_FILTER_HIDDEN)
+    w2 = rng.normal(0, 0.3, _FILTER_HIDDEN)
     b2 = 0.0
     yf = y.astype(np.float64)
     # weight positives up to balance the mined candidate set
@@ -656,7 +650,7 @@ def train_filter_model(X: np.ndarray, y: np.ndarray, seed: int = 0,
     sw = np.where(yf > 0.5, pos_w, 1.0)
     sw /= sw.mean()
     n = len(yf)
-    for _ in range(epochs):
+    for _ in range(_FILTER_EPOCHS):
         H = np.tanh(Xs @ W1.T + b1)
         p = _sigmoid(H @ w2 + b2)
         err = (p - yf) * sw
@@ -665,23 +659,22 @@ def train_filter_model(X: np.ndarray, y: np.ndarray, seed: int = 0,
         dH = np.outer(err, w2) * (1.0 - H * H)
         gW1 = dH.T @ Xs / n + 1e-4 * W1
         gb1 = dH.mean(axis=0)
-        w2 -= lr * gw2
-        b2 -= lr * gb2
-        W1 -= lr * gW1
-        b1 -= lr * gb1
+        w2 -= _FILTER_LR * gw2
+        b2 -= _FILTER_LR * gb2
+        W1 -= _FILTER_LR * gW1
+        b1 -= _FILTER_LR * gb1
     return WindowFilterModel(W1, b1, w2, float(b2), mean, scale)
 
 
-def _train_softmax(Xs: np.ndarray, yi: np.ndarray, n_classes: int, seed: int,
-                   epochs: int = 400, lr: float = 0.5):
+def _train_softmax(Xs: np.ndarray, yi: np.ndarray, n_classes: int, seed: int):
     rng = np.random.RandomState(seed)
     W = rng.normal(0, 0.01, (n_classes, Xs.shape[1]))
     b = np.zeros(n_classes)
     onehot = np.eye(n_classes)[yi]
-    for _ in range(epochs):
+    for _ in range(_SOFTMAX_EPOCHS):
         G = (_softmax(Xs @ W.T + b) - onehot) / len(yi)
-        W -= lr * (G.T @ Xs + 1e-4 * W)
-        b -= lr * G.sum(axis=0)
+        W -= _SOFTMAX_LR * (G.T @ Xs + 1e-4 * W)
+        b -= _SOFTMAX_LR * G.sum(axis=0)
     return W, b
 
 
@@ -707,7 +700,7 @@ def candidate_boxes(img: Raster, p: DetectionParams) -> list[CandidateBox]:
     labels. Every rect lies inside the image, as the detectors build them
     from pixel indices."""
     blurred = blurred_gray(img, p)
-    return size_filter(detect_contour_boxes(blurred, p) + detect_edge_boxes(blurred, p), p)
+    return size_filter(detect_contour_boxes(blurred) + detect_edge_boxes(blurred, p), p)
 
 
 def detect_windows(img: Raster, p: DetectionParams,
@@ -726,7 +719,7 @@ def detect_windows(img: Raster, p: DetectionParams,
             conf_by_rect[c.rect] = filter_model.predict_proba(feats[c.rect])
     survivors = dedup([c for c in sized if conf_by_rect[c.rect] >= p.window_conf_cutoff],
                       p, scores=conf_by_rect)
-    survivors = _suppress_nested(survivors, conf_by_rect)
+    survivors = _suppress_nested(survivors)
 
     detections = []
     for c in survivors:

@@ -30,6 +30,13 @@ SUBFIELDS = ("category_f1", "category_f2", "category_f3")
 _REQUIRED = ("id", "text", "resolver_group", *SUBFIELDS)  # string fields of a ticket line
 
 
+def _json_object(line: str | bytes, fields: Sequence[str]) -> dict:
+    d = json.loads(line)
+    if not isinstance(d, dict) or not all(isinstance(d.get(k), str) for k in fields):
+        raise ValueError(f"not an object with string fields {', '.join(fields)}")
+    return d
+
+
 @dataclass(frozen=True)
 class TicketRecord:
     id: str
@@ -58,27 +65,43 @@ class TicketRecord:
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "TicketRecord":
-        d = json.loads(line)
-        if not isinstance(d, dict) or not all(isinstance(d.get(k), str) for k in _REQUIRED):
-            raise ValueError(f"not an object with string fields {', '.join(_REQUIRED)}")
+        d = _json_object(line, _REQUIRED)
+        attachments = d.get("attachments", [])
+        if not isinstance(attachments, list) or not all(isinstance(a, str) for a in attachments):
+            raise ValueError("attachments is not a list of strings")
+        if not isinstance(d.get("resolution", ""), (str, type(None))):
+            raise ValueError("resolution is neither a string nor null")
         compose_category(*(d[sf] for sf in SUBFIELDS))  # ParameterError is a ValueError
-        return cls(d["id"], d["text"], tuple(d.get("attachments", ())),
+        return cls(d["id"], d["text"], tuple(attachments),
                    d["resolver_group"], d["category_f1"], d["category_f2"],
                    d["category_f3"], d.get("resolution"))
 
 
-def load_corpus(path) -> list[TicketRecord]:
-    """Reads a JSONL ticket file; a malformed line (invalid UTF-8 or a bad
-    category sub-field included) raises ConsistencyError naming path:line."""
-    records = []
+def _read_jsonl(path, parse, what: str) -> list:
+    """parse(line) of each non-blank line of a JSONL file; a ValueError (bad
+    UTF-8 or JSON included) becomes a ConsistencyError naming path:line."""
+    items = []
     with open(path, "rb") as fh:  # json.loads decodes each line itself
         for lineno, line in enumerate(fh, 1):
             try:
                 if line.strip():
-                    records.append(TicketRecord.from_json(line))
-            except (ValueError, TypeError) as exc:  # TypeError: attachments not a list
-                raise ConsistencyError(f"{path}:{lineno}: bad ticket: {exc}") from exc
-    return records
+                    items.append(parse(line))
+            except ValueError as exc:
+                raise ConsistencyError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+    return items
+
+
+def load_corpus(path) -> list[TicketRecord]:
+    """Reads a JSONL ticket file; a malformed line (a bad category sub-field,
+    attachments or resolution included) raises ConsistencyError at path:line."""
+    return _read_jsonl(path, TicketRecord.from_json, "ticket")
+
+
+def load_web_pages(path) -> list[dict]:
+    """Reads a JSONL file of web pages, objects with string fields id, title
+    and body; a malformed line raises ConsistencyError naming path:line."""
+    return _read_jsonl(path, lambda line: _json_object(line, ("id", "title", "body")),
+                       "web page")
 
 
 def save_corpus(records: Sequence[TicketRecord], path) -> None:
@@ -117,8 +140,16 @@ class ResolutionDB:
 
     @classmethod
     def from_file(cls, path) -> "ResolutionDB":
+        """A JSON object mapping categories to resolution texts; anything
+        else raises ConsistencyError naming path."""
         with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            try:
+                entries = json.load(fh)
+            except ValueError as exc:
+                raise ConsistencyError(f"{path}: bad resolutions: {exc}") from exc
+        if not isinstance(entries, dict) or not all(isinstance(v, str) for v in entries.values()):
+            raise ConsistencyError(f"{path}: bad resolutions: not an object of strings")
+        return cls(entries)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -245,7 +245,9 @@ class ResourcePool:
                                   for t, n in background.items()}
 
     def resource_scores(self, query: str) -> dict[str, float]:
-        """Per-query min-max normalized c in [0,1]; neutral 0.5 on empty/tied."""
+        """CORI's c per resource: 1.0 for the resource whose mean term
+        log-probability is higher, 0.0 for the other, and 0.5 for both when
+        the query has no terms or the means are within 1e-12."""
         terms = tokenize(query)
         if not terms:
             return {name: 0.5 for name in self._tables}
@@ -255,7 +257,7 @@ class ResourcePool:
         lo, hi = min(raw.values()), max(raw.values())
         if hi - lo < 1e-12:
             return {name: 0.5 for name in self._tables}
-        return {name: (v - lo) / (hi - lo) for name, v in raw.items()}
+        return {name: 1.0 if v == hi else 0.0 for name, v in raw.items()}
 
 
 def cori_score(d: float, c: float) -> float:

@@ -47,6 +47,8 @@ _CELL_BITS = font.GLYPH_W * font.GLYPH_H
 # weight of each cell pixel in row-major order, first pixel most significant
 _BIT_WEIGHTS = np.left_shift(np.uint64(1), np.arange(_CELL_BITS - 1, -1, -1, dtype=np.uint64))
 _MAX_LIFT = 2  # a band may start at glyph row 0, 1 or 2 (lowercase-only lines)
+_BAND_MAX_GAP = 2  # blank rows a text line may span
+_BAND_MAX_HEIGHT = 9  # taller ink bands are not one text line
 
 
 def _ink_mask(luma: np.ndarray) -> np.ndarray:
@@ -58,21 +60,22 @@ def _ink_mask(luma: np.ndarray) -> np.ndarray:
     return np.abs(luma.astype(np.int16) - dominant[:, None]) > 40
 
 
-def _bands(ink: np.ndarray, max_gap: int = 2, max_height: int = 9):
+def _bands(ink: np.ndarray):
+    """Inked row runs as inclusive (top, bottom), at most _BAND_MAX_HEIGHT tall."""
     rows = np.flatnonzero(ink.any(axis=1))
     bands = []
     start = prev = None
     for y in rows:
         if start is None:
             start = prev = y
-        elif y - prev <= max_gap + 1:
+        elif y - prev <= _BAND_MAX_GAP + 1:
             prev = y
         else:
             bands.append((start, prev))
             start = prev = y
     if start is not None:
         bands.append((start, prev))
-    return [(a, b) for a, b in bands if b - a + 1 <= max_height]
+    return [(a, b) for a, b in bands if b - a + 1 <= _BAND_MAX_HEIGHT]
 
 
 def _band_cells(ink: np.ndarray, band_top: int, x0: int, n_cells: int) -> np.ndarray:
@@ -131,9 +134,7 @@ class GlyphOcrEngine:
 
         tokens: list[OcrToken] = []
         for band_top, band_bot in _bands(ink):
-            cols = np.flatnonzero(ink[band_top:band_bot + 1].any(axis=0))
-            if len(cols) == 0:
-                continue
+            cols = np.flatnonzero(ink[band_top:band_bot + 1].any(axis=0))  # never empty
             x0, x1 = int(cols[0]), int(cols[-1])
             n_cells = (x1 - x0) // font.ADVANCE + 1
             packed = _band_cells(ink, band_top, x0, n_cells)
@@ -262,13 +263,12 @@ def correct_token(t: OcrToken, d: Dictionary) -> OcrToken:
 class WordLM:
     """Interpolated bigram LM (Jelinek-Mercer against add-one unigrams)."""
 
-    def __init__(self, unigrams: dict[str, int],
-                 ngrams: dict[tuple[str, ...], dict[str, int]]):
+    def __init__(self, unigrams: dict[str, int], bigrams: dict[str, dict[str, int]]):
         self.unigrams = unigrams
-        self.ngrams = ngrams
+        self.bigrams = bigrams  # previous word -> next word -> count
         self.total = sum(unigrams.values())
         self.vocab = sorted(unigrams)
-        self._ctx_totals = {ctx: sum(c.values()) for ctx, c in ngrams.items()}
+        self._ctx_totals = {prev: sum(c.values()) for prev, c in bigrams.items()}
 
     def unigram_prob(self, word: str) -> float:
         # add-one smoothing over the vocabulary: sums to exactly 1 across it,
@@ -277,16 +277,14 @@ class WordLM:
 
     def prob(self, word: str, context: Optional[str] = None) -> float:
         uni = self.unigram_prob(word)
-        counts = self.ngrams.get((context,))  # None context: no key, unigram only
+        counts = self.bigrams.get(context)  # None context: no key, unigram only
         if not counts:
             return uni
-        p_ng = counts.get(word, 0) / self._ctx_totals[(context,)]
-        return _LM_LAMBDA * p_ng + (1.0 - _LM_LAMBDA) * uni
+        p_bi = counts.get(word, 0) / self._ctx_totals[context]
+        return _LM_LAMBDA * p_bi + (1.0 - _LM_LAMBDA) * uni
 
     def predict(self, context: Optional[str]) -> str:
-        """Argmax over vocabulary; lexicographic tie-break."""
-        if not self.vocab:
-            return ""
+        """Argmax over the (never empty) vocabulary; lexicographic tie-break."""
         return min(self.vocab, key=lambda w: (-self.prob(w, context), w))
 
 
@@ -296,15 +294,14 @@ def train_lm(corpus: Sequence[str]) -> WordLM:
     if not sentences:
         raise TrainingError("LM training corpus is empty")
     unigrams: dict[str, int] = {}
-    ngrams: dict[tuple[str, ...], dict[str, int]] = {}
+    bigrams: dict[str, dict[str, int]] = {}
     for toks in sentences:
         for w in toks:
             unigrams[w] = unigrams.get(w, 0) + 1
         for prev, cur in zip(toks, toks[1:]):
-            ctx = (prev,)
-            ngrams.setdefault(ctx, {})
-            ngrams[ctx][cur] = ngrams[ctx].get(cur, 0) + 1
-    return WordLM(unigrams, ngrams)
+            follow = bigrams.setdefault(prev, {})
+            follow[cur] = follow.get(cur, 0) + 1
+    return WordLM(unigrams, bigrams)
 
 
 def lm_correct_sequence(tokens: Sequence[OcrToken], lm: WordLM) -> list[OcrToken]:
@@ -320,11 +317,7 @@ def lm_correct_sequence(tokens: Sequence[OcrToken], lm: WordLM) -> list[OcrToken
     for tok in tokens:
         text = tok.text
         if text == OCCLUDED_MARK:
-            if lm.vocab:
-                text = lm.predict(prev_word)
-                out.append(OcrToken(text, tok.rect, tok.confidence))
-            else:
-                out.append(tok)
+            text = lm.predict(prev_word)
         elif tok.confidence < _LM_CONF_FLOOR:
             candidates = [w for w in lm.vocab
                           if abs(len(w) - len(text)) <= _MAX_EDIT
@@ -332,8 +325,6 @@ def lm_correct_sequence(tokens: Sequence[OcrToken], lm: WordLM) -> list[OcrToken
             if text not in candidates:
                 candidates.append(text)
             text = min(candidates, key=lambda w: (-lm.prob(w, prev_word), w))
-            out.append(OcrToken(text, tok.rect, tok.confidence))
-        else:
-            out.append(tok)
+        out.append(tok if text == tok.text else OcrToken(text, tok.rect, tok.confidence))
         prev_word = text
     return out

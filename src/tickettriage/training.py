@@ -28,6 +28,7 @@ from .recommend import (
     ResolutionDB,
     TriageModels,
     load_corpus,
+    load_web_pages,
     split_head_tail,
 )
 from .search import IndexDoc, SearchIndex
@@ -87,7 +88,8 @@ def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
     if not corpus:
         raise TrainingError("empty training corpus")
     db = ResolutionDB.from_file(os.path.join(corpus_dir, "resolutions.json"))
-    web_pages = _load_web_pages(os.path.join(corpus_dir, "webpages.jsonl"))
+    pages_path = os.path.join(corpus_dir, "webpages.jsonl")
+    web_pages = load_web_pages(pages_path) if os.path.exists(pages_path) else []
 
     freq_threshold = max(2, len(corpus) // 50)
     split = split_head_tail(corpus, freq_threshold, db)
@@ -139,10 +141,3 @@ def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
               "head_categories": sorted(split.head_categories)},
     )
 
-
-def _load_web_pages(path: str) -> list[dict]:
-    import json
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -19,7 +19,6 @@ from tickettriage.imaging import (
     DetectionParams,
     Rect,
     WindowDetection,
-    _suppress_nested,
     dedup,
     iou,
     size_filter,
@@ -30,6 +29,7 @@ from tickettriage.textextract import OCCLUDED_MARK, OcrToken
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 _MIN_COMPONENT_AREA = 80
 _RECT_FILL_RATIO = 0.85
+_NESTED_COVER = 0.85
 _TEMPLATES: list[tuple[str, int]] = sorted(
     (ch, int("".join("1" if v else "0" for v in grid.ravel()), 2))
     for ch, grid in font.GLYPHS.items()
@@ -421,6 +421,29 @@ def _clamp_rect(r: Rect, img: Raster) -> Optional[Rect]:
     if x2 - x < 1 or y2 - y < 1:
         return None
     return Rect(x, y, x2 - x, y2 - y)
+
+
+def _suppress_nested(boxes: list[CandidateBox],
+                     scores: dict[Rect, float]) -> list[CandidateBox]:
+    """Drop boxes mostly inside, or mostly covering, a higher-confidence box.
+
+    IoU suppression misses slivers and offset super-rects whose IoU with the
+    kept box is below the dedup threshold; asymmetric coverage catches them.
+    """
+    ordered = sorted(boxes, key=lambda b: (-scores.get(b.rect, 0.0),
+                                           -b.rect.area, b.rect, b.source))
+    kept: list[CandidateBox] = []
+    for box in ordered:
+        nested = False
+        for k in kept:
+            inter = box.rect.intersection_area(k.rect)
+            if (inter / box.rect.area >= _NESTED_COVER
+                    or inter / k.rect.area >= _NESTED_COVER):
+                nested = True
+                break
+        if not nested:
+            kept.append(box)
+    return kept
 
 
 def detect_windows(img: Raster, p: DetectionParams, filter_model, category_model,

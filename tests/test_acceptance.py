@@ -193,7 +193,7 @@ def test_criterion_6_oracle_equivalences():
         for box in ordered:
             if not any(iou(box.rect, k.rect) >= p.iou_dedup_threshold for k in kept):
                 kept.append(box)
-        dedup_ok &= dedup(boxes, p) == kept
+        dedup_ok &= dedup(boxes, p, {}) == kept
 
     # (b) edit distance vs a full-matrix dynamic program, 10k random pairs
     from tickettriage.textextract import levenshtein

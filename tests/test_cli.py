@@ -109,10 +109,13 @@ _GOOD_TICKET = json.dumps(_TICKET)
 # category sub-fields that compose_category rejects
 _BAD_SUBFIELDS = (json.dumps({**_TICKET, "id": "t2", "category_f2": ""}),
                   json.dumps({**_TICKET, "id": "t2", "category_f1": "a\x1fb"}))
+# attachments that are not a list of strings, a resolution that is not a string
+_BAD_TYPES = (json.dumps({**_TICKET, "id": "t3", "attachments": "scenes/x.ppm"}),
+              json.dumps({**_TICKET, "id": "t3", "resolution": 5}))
 
 
 @pytest.mark.parametrize("bad_line", ['{"id": "x", "text": "vpn"}', "not json", "[1, 2]",
-                                      *_BAD_SUBFIELDS])
+                                      *_BAD_SUBFIELDS, *_BAD_TYPES])
 @pytest.mark.parametrize("command", ["triage", "eval", "train"])
 def test_malformed_ticket_file_is_a_runtime_failure(tmp_path, capsys, bundle_path,
                                                     command, bad_line):
@@ -129,6 +132,39 @@ def test_malformed_ticket_file_is_a_runtime_failure(tmp_path, capsys, bundle_pat
                 "train": ["train", "--corpus", str(corpus), "--out", path]}[command]
         assert main(argv) == 3, path
         assert f"{tickets}:2" in capsys.readouterr().err, path
+
+
+def _side_file_corpus(tmp_path):
+    """A corpus directory whose ticket file loads; train reads the side files
+    next, before anything is trained."""
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "tickets.jsonl").write_text(_GOOD_TICKET + "\n")
+    (corpus / "resolutions.json").write_text("{}")
+    return corpus
+
+
+def _train_fails_naming(tmp_path, capsys, corpus, where):
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.bin")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("failed: ") and where in err, err
+
+
+@pytest.mark.parametrize("bad_line", ['{"id": "kb-x", "title": "t"', "[1, 2]",
+                                      '{"id": "kb-x", "title": "t"}',
+                                      '{"id": "kb-x", "title": "t", "body": 5}'])
+def test_malformed_web_page_file_is_a_runtime_failure(tmp_path, capsys, bad_line):
+    corpus = _side_file_corpus(tmp_path)
+    pages = corpus / "webpages.jsonl"
+    pages.write_text('{"id": "kb-1", "title": "t", "body": "b"}\n' + bad_line + "\n")
+    _train_fails_naming(tmp_path, capsys, corpus, f"{pages}:2")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"a": 1}', '"fix"', "{"])
+def test_malformed_resolutions_file_is_a_runtime_failure(tmp_path, capsys, content):
+    corpus = _side_file_corpus(tmp_path)
+    (corpus / "resolutions.json").write_text(content)
+    _train_fails_naming(tmp_path, capsys, corpus, str(corpus / "resolutions.json"))
 
 
 # one out-of-range value per cutoff key

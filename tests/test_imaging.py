@@ -70,7 +70,7 @@ def test_dedup_matches_quadratic_oracle():
                          "contour" if rng.rand() < 0.5 else "edge")
             for _ in range(rng.randint(1, 12))
         ]
-        assert dedup(boxes, p) == _oracle_dedup(boxes, p.iou_dedup_threshold)
+        assert dedup(boxes, p, {}) == _oracle_dedup(boxes, p.iou_dedup_threshold)
 
 
 def test_dedup_kept_boxes_mutually_below_threshold():
@@ -81,7 +81,7 @@ def test_dedup_kept_boxes_mutually_below_threshold():
                           int(rng.randint(10, 60)), int(rng.randint(10, 60))), "edge")
         for _ in range(40)
     ]
-    kept = dedup(boxes, p)
+    kept = dedup(boxes, p, {})
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             assert iou(a.rect, b.rect) < p.iou_dedup_threshold
@@ -116,7 +116,7 @@ def test_detector_rects_lie_inside_the_image():
     n_rects = 0
     for name, img, _ in _oracle_scenes():
         blurred = blurred_gray(img, p)
-        for c in detect_contour_boxes(blurred, p) + detect_edge_boxes(blurred, p):
+        for c in detect_contour_boxes(blurred) + detect_edge_boxes(blurred, p):
             assert c.rect.within_image(img), (name, c)
             n_rects += 1
     assert n_rects > 300
@@ -135,7 +135,7 @@ def test_detectors_find_isolated_windows():
         gold = gt.boxes[0][0]
         p = DetectionParams()
         blurred = blurred_gray(img, p)
-        c = any(iou(b.rect, gold) >= 0.5 for b in detect_contour_boxes(blurred, p))
+        c = any(iou(b.rect, gold) >= 0.5 for b in detect_contour_boxes(blurred))
         e = any(iou(b.rect, gold) >= 0.5 for b in detect_edge_boxes(blurred, p))
         contour_hits += c
         edge_hits += e

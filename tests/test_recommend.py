@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from tickettriage.classify import TfidfVectorizer
-from tickettriage.errors import ParameterError
+from tickettriage.errors import ConsistencyError, ParameterError
 from tickettriage.recommend import (
     CATEGORY_SEP,
     ResolutionDB,
@@ -76,6 +79,30 @@ def test_corpus_round_trip(tmp_path):
     path = tmp_path / "tickets.jsonl"
     save_corpus(records, path)
     assert load_corpus(path) == records
+
+
+_LINE = {"id": "t1", "text": "vpn drops", "resolver_group": "network",
+         "category_f1": "a", "category_f2": "b", "category_f3": "c"}
+
+
+def test_ticket_attachments_and_resolution_are_optional(tmp_path):
+    path = tmp_path / "tickets.jsonl"
+    lines = [_LINE, {**_LINE, "attachments": [], "resolution": None},
+             {**_LINE, "attachments": ["scenes/a.ppm", "scenes/b.ppm"], "resolution": "fix"}]
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    got = [(r.attachment_paths, r.resolution) for r in load_corpus(path)]
+    assert got == [((), None), ((), None), (("scenes/a.ppm", "scenes/b.ppm"), "fix")]
+
+
+@pytest.mark.parametrize("bad", [{"attachments": "scenes/x.ppm"}, {"attachments": None},
+                                 {"attachments": ["a.ppm", 3]}, {"resolution": 5},
+                                 {"resolution": ["fix"]}])
+def test_ticket_attachments_and_resolution_are_typed_at_load(tmp_path, bad):
+    path = tmp_path / "tickets.jsonl"
+    path.write_text(json.dumps(_LINE) + "\n" + json.dumps({**_LINE, **bad}) + "\n")
+    with pytest.raises(ConsistencyError,
+                       match=re.escape(f"{path}:2: bad ticket: {next(iter(bad))}")):
+        load_corpus(path)
 
 
 # ---------------------------------------------------------------------------

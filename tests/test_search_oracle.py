@@ -173,6 +173,19 @@ def test_resource_scores_match_reference_on_seeded_corpus(bundle, corpus_dir):
     _same_resource_scores(ResourcePool(corpus_texts, []), corpus_texts, [], queries)
 
 
+def test_resource_scores_pick_one_resource_or_neither(bundle, corpus_dir):
+    """c is 1.0 for the resource with the higher mean log-probability and 0.0
+    for the other, or 0.5 for both on a query with no terms or a tie."""
+    records = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
+    queries = [enrich_text_only(r.text) for r in records] + list(_EDGE_QUERIES)
+    seen = set()
+    for query in queries:
+        scores = sorted(bundle.pool.resource_scores(query).values())
+        assert scores in ([0.0, 1.0], [0.5, 0.5]), query
+        seen.add(tuple(scores))
+    assert seen == {(0.0, 1.0), (0.5, 0.5)}
+
+
 def test_resource_scores_random_small_pools_match_reference():
     rng = np.random.RandomState(13)
     words = ["printer", "vpn", "jam", "error", "drop", "disk", "sync"]
