@@ -19,7 +19,7 @@ from .imaging import (
     detect_windows,
     iou,
 )
-from .raster import Raster, read_ppm
+from .raster import ImageTooLarge, Raster, read_ppm
 from .recommend import (
     TicketRecord,
     TriageCutoffs,
@@ -121,6 +121,8 @@ def _load_attachments(corpus_dir: str, record: TicketRecord) -> tuple[list[Raste
     for rel in record.attachment_paths:
         try:
             images.append(read_ppm(os.path.join(corpus_dir, rel)))
+        except ImageTooLarge:
+            flags.append("attachment_too_large")
         except Exception:
             flags.append("attachment_unreadable")
     return images, flags

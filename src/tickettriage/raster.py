@@ -12,6 +12,13 @@ import math
 import numpy as np
 
 
+MAX_PIXELS = 3840 * 2160  # one 4K screen: read_ppm refuses a larger image
+
+
+class ImageTooLarge(ValueError):
+    """A PPM header declares more than MAX_PIXELS pixels."""
+
+
 class Raster:
     """RGB image, 8 bits per channel, row-major."""
 
@@ -127,29 +134,35 @@ def write_ppm(img: Raster, path) -> None:
 
 
 def read_ppm(path) -> Raster:
+    """Binary PPM (P6, maxval 255). The header is parsed before the pixel
+    body is read, so an image over MAX_PIXELS is refused unread."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
-    # header: magic, width, height, maxval, separated by whitespace/comments
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: non-positive dimension {width}x{height}")
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
-    return Raster(pixels.reshape(height, width, 3).copy())
+        if fh.read(2) != b"P6":
+            raise ValueError(f"{path}: not a binary PPM (P6) file")
+        # header: width, height, maxval, separated by whitespace/comments; the
+        # single whitespace byte after maxval ends the last token
+        fields = []
+        ch = fh.read(1)
+        while len(fields) < 3:
+            if ch.isspace():
+                ch = fh.read(1)
+            elif ch == b"#":
+                fh.readline()
+                ch = fh.read(1)
+            else:
+                token = bytearray()
+                while ch and not ch.isspace():
+                    token += ch
+                    ch = fh.read(1)
+                fields.append(int(token))
+        width, height, maxval = fields
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: non-positive dimension {width}x{height}")
+        if maxval != 255:
+            raise ValueError(f"{path}: unsupported maxval {maxval}")
+        if width * height > MAX_PIXELS:
+            raise ImageTooLarge(f"{path}: {width}x{height} is over {MAX_PIXELS} pixels")
+        body = bytearray(width * height * 3)
+        if fh.readinto(body) != len(body):
+            raise ValueError(f"{path}: pixel data shorter than {width}x{height}")
+    return Raster(np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3))

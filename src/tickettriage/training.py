@@ -1,11 +1,22 @@
 """Training orchestration: builds a complete model bundle from a generated
 corpus directory (text classifiers, window models, search index, resolution
 DB); the bundle itself builds its OCR LM, term dictionary and resource pool.
+
+Mining the window-filter scenes is most of the cost; it runs across the CPUs
+of the process's affinity, and the bundle is byte-identical for any CPU count
+(see _window_training_set). A tracer that wraps the mining stages in this
+process sees only the calling process's share of the scenes: perfbench's
+`training.window_mining_s` times that share.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 
 import numpy as np
 from scipy import sparse
@@ -41,36 +52,83 @@ def enrich_text_only(text: str) -> str:
     return fill_slots(text, entities).enriched_text
 
 
+_SCENES = 400  # seeded renders mined for the window models
+
+
+def _mine_scene(seed: int, k: int):
+    """Rows, labels, category rows and app/OS labels mined from scene k: the
+    ground-truth boxes first, then each new candidate that is not ambiguous."""
+    params = DetectionParams()
+    spec = random_scene(seed * 1009 + k, n_windows=1 + k % 3, overlap="light")
+    img, gt = render_scene(spec)
+    gold = [r for r, _, _ in gt.boxes]
+    X, y, X_cat, app_labels, os_labels = [], [], [], [], []
+    for rect, kind, theme in gt.boxes:
+        feats = window_features(img, rect)
+        X.append(feats)
+        y.append(1)
+        X_cat.append(feats)
+        app_labels.append(kind)
+        os_labels.append(theme)
+    seen: set = set()
+    for c in candidate_boxes(img, params):
+        if c.rect in seen:
+            continue
+        seen.add(c.rect)
+        best = max((iou(c.rect, g) for g in gold), default=0.0)
+        if 0.45 <= best < 0.65:
+            continue  # ambiguous: neither a clean frame nor a clear miss
+        X.append(window_features(img, c.rect))
+        y.append(1 if best >= 0.65 else 0)
+    return X, y, X_cat, app_labels, os_labels
+
+
+def _mine_share(seed: int, first: int, step: int) -> list:
+    """_mine_scene of scenes first, first + step, ... in order."""
+    return [_mine_scene(seed, k) for k in range(first, _SCENES, step)]
+
+
+def _die_with(parent: int) -> None:
+    """Worker initializer: the kernel kills this worker when its parent dies
+    (prctl PR_SET_PDEATHSIG). Without it, a killed trainer leaves its workers
+    blocked for good on their result pipes."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # the parent died before the prctl
+        os._exit(1)
+
+
 def _window_training_set(seed: int):
     """Window-filter training data mined from the detectors' own candidates:
     every size-filtered candidate box is labeled by IoU against the ground
     truth, so the filter learns the exact false-positive distribution it will
     see at detection time. Ground-truth boxes are added as extra positives
     and provide the category labels. The scenes are 400 seeded renders, and
-    the candidates come from the DetectionParams() that train_bundle stores."""
-    params = DetectionParams()
-    X, y, X_cat, app_labels, os_labels = [], [], [], [], []
-    for k in range(400):
-        spec = random_scene(seed * 1009 + k, n_windows=1 + k % 3, overlap="light")
-        img, gt = render_scene(spec)
-        gold = [r for r, _, _ in gt.boxes]
-        for rect, kind, theme in gt.boxes:
-            feats = window_features(img, rect)
-            X.append(feats)
-            y.append(1)
-            X_cat.append(feats)
-            app_labels.append(kind)
-            os_labels.append(theme)
-        seen: set = set()
-        for c in candidate_boxes(img, params):
-            if c.rect in seen:
-                continue
-            seen.add(c.rect)
-            best = max((iou(c.rect, g) for g in gold), default=0.0)
-            if 0.45 <= best < 0.65:
-                continue  # ambiguous: neither a clean frame nor a clear miss
-            X.append(window_features(img, c.rect))
-            y.append(1 if best >= 0.65 else 0)
+    the candidates come from the DetectionParams() that train_bundle stores.
+
+    The scenes are independent, so they are mined across the n CPUs of the
+    process's affinity: share j is scenes j, j + n, ... (scene cost cycles
+    with k % 3). This process mines share 0 and forked workers the others;
+    the rows are put back in scene order, so the result, and the bundle, are
+    the same bytes for any n. With one CPU nothing is submitted and no
+    process starts. A worker's exception reaches the caller as itself; a
+    worker that dies raises TrainingError; a worker dies with the caller."""
+    n = len(os.sched_getaffinity(0))
+    try:
+        # A pool needs one worker at least; it starts none until a submit. Fork:
+        # workers reuse the loaded package, and the pool forks them all at the
+        # first submit, before it starts its own thread.
+        with ProcessPoolExecutor(max(n - 1, 1), mp_context=get_context("fork"),
+                                 initializer=_die_with, initargs=(os.getpid(),)) as pool:
+            futures = [pool.submit(_mine_share, seed, j, n) for j in range(1, n)]
+            shares = [_mine_share(seed, 0, n)] + [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        raise TrainingError(f"a window-mining worker died: {exc}") from exc
+    scenes = [shares[k % n][k // n] for k in range(_SCENES)]
+    X, y, X_cat, app_labels, os_labels = ([v for scene in scenes for v in scene[i]]
+                                          for i in range(5))
     return np.array(X), np.array(y), np.array(X_cat), app_labels, os_labels
 
 

@@ -3,10 +3,12 @@ from tickettriage.evalharness import (
     evaluate_corpus,
     match_boxes,
     ocr_accuracy,
+    triage_records,
 )
 from tickettriage.imaging import Rect
-from tickettriage.recommend import TicketRecord
+from tickettriage.recommend import TicketRecord, TriageCutoffs
 from tickettriage.synthgen import random_scene, render_scene
+from tickettriage.training import enrich_text_only
 
 
 def test_match_boxes_counts():
@@ -53,6 +55,15 @@ def test_enrich_for_mode_degrades_on_unreadable_attachment(bundle, corpus_dir):
     assert "attachment_unreadable" in flags
     assert "degraded_to_text_mode" in flags
     assert text.startswith("printer") and "is broken" in text
+
+
+def test_triage_records_degrades_an_attachment_over_the_pixel_cap(bundle, tmp_path):
+    (tmp_path / "big.ppm").write_bytes(b"P6\n4000 4000\n255\n" + bytes(64))
+    record = TicketRecord("x", "printer is broken", ("big.ppm",), "hw", "a", "b", "c")
+    [(result, row)] = triage_records(str(tmp_path), [record], bundle, "multimodal",
+                                     TriageCutoffs())
+    assert row["degraded"] == ["attachment_too_large", "degraded_to_text_mode"]
+    assert row["enriched_text"] == enrich_text_only("printer is broken")
 
 
 def test_evaluate_corpus_summary_shape(bundle, corpus_dir):

@@ -3,7 +3,8 @@
 perfbench (``perfbench/run.py``) imports package names, calls them with
 fixed argument shapes, reads bundle fields and patches 31 attributes when
 tracing. A change that breaks any of these makes a benchmark run exit
-non-zero; these tests find it in seconds and train nothing.
+non-zero; these tests find it in seconds. All but the last train nothing;
+the last reads the session bundle's training.
 """
 
 import dataclasses
@@ -88,3 +89,10 @@ def test_decisions_expose_what_the_harness_reads():
     assert isinstance(recommend.TicketRecord.category, property)
     assert recommend.TriageCutoffs().top_n >= 1
     assert "rect" in {f.name for f in dataclasses.fields(imaging.WindowDetection)}
+
+
+def test_setup_calls_the_mining_stages_in_the_calling_process(training_run):
+    # perfbench requires spans of these names during set-up, and its tracer
+    # sees only calls made in its own process, not in mining workers
+    for name in ("window_features", "detect_contour_boxes", "detect_edge_boxes"):
+        assert training_run.calls[name] > 0, name

@@ -10,6 +10,7 @@ from tickettriage.raster import (
     gaussian_blur,
     gaussian_kernel,
     otsu_threshold,
+    MAX_PIXELS,
     read_ppm,
     to_grayscale,
     write_ppm,
@@ -104,6 +105,20 @@ def test_read_ppm_rejects_other_formats(tmp_path):
     bad.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError):
         read_ppm(bad)
+
+
+def test_read_ppm_refuses_an_image_over_the_pixel_cap(tmp_path):
+    path = tmp_path / "big.ppm"
+    path.write_bytes(b"P6\n4000 4000\n255\n" + bytes(64))  # the body is never read
+    assert 4000 * 4000 > MAX_PIXELS
+    with pytest.raises(ValueError, match="pixels"):
+        read_ppm(path)
+
+
+def test_read_ppm_reads_a_header_with_comments(tmp_path):
+    path = tmp_path / "c.ppm"
+    path.write_bytes(b"P6 # made by hand\n2 # wide\n1\n255\n" + bytes(range(6)))
+    assert read_ppm(path).array.tolist() == [[[0, 1, 2], [3, 4, 5]]]
 
 
 @settings(max_examples=150, deadline=None)

@@ -47,15 +47,12 @@ def test_trained_classifiers_route_clear_tickets(bundle):
     assert label == "network-ops"
 
 
-def test_training_is_deterministic(corpus_dir, bundle):
-    import numpy as np
-    again = train_bundle(corpus_dir, seed=1)
-    m1 = bundle.models.resolver_pair[0]
-    m2 = again.models.resolver_pair[0]
-    assert m1.classes == m2.classes
-    for key in m1.params:
-        assert np.array_equal(m1.params[key], m2.params[key])
-    assert np.array_equal(bundle.filter_model.W1, again.filter_model.W1)
+def test_training_is_deterministic(bundle, one_cpu_training_run, tmp_path):
+    from tickettriage.bundle import save_bundle
+    # the same corpus and seed, trained again with window mining on one CPU
+    save_bundle(bundle, str(tmp_path / "a.bin"))
+    save_bundle(one_cpu_training_run.bundle, str(tmp_path / "b.bin"))
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 def test_bundle_holds_one_vectorizer(bundle):
