@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import load_config, merged_config
@@ -145,7 +146,6 @@ def cmd_eval(args) -> int:
     from .bundle import load_bundle
     from .evalharness import evaluate_corpus
     from .recommend import load_corpus
-    import os
 
     cfg = _config_for(args, {"mode": args.mode})
     mode = cfg.get("mode", "both")

@@ -22,11 +22,12 @@ from typing import Optional
 import numpy as np
 
 from . import font
+from .errors import ParameterError
 from .fixtures import TAXONOMY, CategoryProfile
 from .imaging import Rect
 from .raster import write_ppm
 from .recommend import ResolutionDB, TicketRecord, compose_category, save_corpus
-from .synthgen import GroundTruth, SceneSpec, WindowSpec, render_scene, scene_to_json
+from .synthgen import GroundTruth, SceneSpec, WindowSpec, render_scene, scene_to_dict
 
 _OS_VERSIONS = {
     "Windows": ("10", "11"),
@@ -92,14 +93,23 @@ def _gt_record(ticket_id: str, path: str, spec: SceneSpec, gt: GroundTruth) -> d
              for t in toks]
             for toks in gt.texts
         ],
-        "spec": json.loads(scene_to_json(spec)),
+        "spec": scene_to_dict(spec),
     }
 
 
 def generate_corpus(out_dir: str, seed: int, count: int,
                     image_only_fraction: float = 0.4,
                     redundant_image_fraction: float = 0.1) -> dict:
-    """Write a deterministic synthetic corpus; returns the output paths."""
+    """Write a deterministic synthetic corpus; returns the output paths.
+
+    A count below 1 or a fraction outside [0, 1] (NaN included) raises
+    ParameterError before any file is written."""
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    for name, value in (("image_only_fraction", image_only_fraction),
+                        ("redundant_image_fraction", redundant_image_fraction)):
+        if not 0.0 <= value <= 1.0:
+            raise ParameterError(f"{name} must be in [0, 1], got {value}")
     rng = np.random.RandomState(seed)
     scenes_dir = os.path.join(out_dir, "scenes")
     os.makedirs(scenes_dir, exist_ok=True)

@@ -55,26 +55,6 @@ def _matchers(terms: Sequence[str]) -> list[tuple[str, re.Pattern]]:
     return [(t, re.compile(r"(?<!\w)" + re.escape(t.lower()) + r"(?!\w)")) for t in terms]
 
 
-def _load_term_file(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def _load_alias_file(path) -> dict[str, str]:
-    aliases: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "->" in line:
-                alias, canonical = (part.strip() for part in line.split("->", 1))
-            else:
-                alias = canonical = line
-            aliases[alias] = canonical
-    return aliases
-
-
 _ERROR_CODE_PATTERNS = (
     re.compile(r"\bError\s+\d+\b", re.IGNORECASE),
     re.compile(r"\bHRESULT:\s*0x[0-9A-Fa-f]+\b"),

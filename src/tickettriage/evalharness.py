@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 from .bundle import ModelBundle
 from .enrichment import enrich_multimodal
+from .fixtures import entity_dictionaries
 from .imaging import (
     DetectionParams,
     Rect,
@@ -137,7 +138,6 @@ def enrich_for_mode(record: TicketRecord, mode: str, bundle: ModelBundle,
     if not images:
         flags.append("degraded_to_text_mode")
         return enrich_text_only(record.text), flags
-    from .fixtures import entity_dictionaries
     enriched = enrich_multimodal(
         record.text, images, bundle.detection_params, bundle.filter_model,
         bundle.category_model, entity_dictionaries(), lm=bundle.lm,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .enrichment import EntityDictionaries, _load_alias_file, _load_term_file
+from .enrichment import EntityDictionaries
 from .textextract import Dictionary, WordLM, train_lm
 
 
@@ -17,11 +17,30 @@ def _data_path(name: str):
     return resources.files("tickettriage").joinpath("data", name)
 
 
+def _load_term_file(path) -> list[str]:
+    with path.open(encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
+def _load_alias_file(path) -> dict[str, str]:
+    aliases: dict[str, str] = {}
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if "->" in line:
+                alias, canonical = (part.strip() for part in line.split("->", 1))
+            else:
+                alias = canonical = line
+            aliases[alias] = canonical
+    return aliases
+
+
 @lru_cache(maxsize=None)
 def phrase_bank() -> list[str]:
     """Window body-text phrases, all renderable by the built-in font."""
-    with _data_path("phrases.txt").open(encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return _load_term_file(_data_path("phrases.txt"))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ in the manual queue.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -99,9 +100,17 @@ def load_corpus(path) -> list[TicketRecord]:
 
 def load_web_pages(path) -> list[dict]:
     """Reads a JSONL file of web pages, objects with string fields id, title
-    and body; a malformed line raises ConsistencyError naming path:line."""
-    return _read_jsonl(path, lambda line: _json_object(line, ("id", "title", "body")),
-                       "web page")
+    and body; a malformed line or a repeated id raises ConsistencyError
+    naming path:line."""
+    seen: set[str] = set()
+
+    def parse(line):
+        page = _json_object(line, ("id", "title", "body"))
+        if page["id"] in seen:
+            raise ValueError(f"repeated id {page['id']!r}")
+        seen.add(page["id"])
+        return page
+    return _read_jsonl(path, parse, "web page")
 
 
 def save_corpus(records: Sequence[TicketRecord], path) -> None:
@@ -309,6 +318,9 @@ def savings(n_tickets_per_year: float, t_cov: float, r_cov: float) -> Savings:
     """Man-hour savings from automated assignment and resolution coverage."""
     if not (0.0 <= t_cov <= 1.0 and 0.0 <= r_cov <= 1.0):
         raise ParameterError("coverages must be in [0,1]")
+    if not 0.0 <= n_tickets_per_year < math.inf:
+        raise ParameterError(f"tickets per year must be finite and >= 0, "
+                             f"got {n_tickets_per_year}")
     assign = n_tickets_per_year * t_cov * ASSIGN_MINUTES / 60.0
     resolve = n_tickets_per_year * r_cov * RESOLVE_MINUTES / 60.0
     return Savings(assign, resolve)

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .classify import tokenize
+from .errors import ConsistencyError
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +49,8 @@ class SearchIndex:
     Each term keeps the ids of the docs it occurs in (int32) and its BM25
     contribution to each of them, both computed once; a query sums them with
     one bincount. Only `docs` is pickled: the arrays are rebuilt on load.
+    Doc ids must be unique: building (or loading) an index that repeats one
+    raises ConsistencyError.
     """
 
     def __init__(self, docs: Sequence[IndexDoc]):
@@ -62,6 +65,14 @@ class SearchIndex:
         self._build()
 
     def _build(self) -> None:
+        # ranking tie-break: a doc's position among the sorted ids
+        sorted_ids = sorted(d.doc_id for d in self.docs)
+        for a, b in zip(sorted_ids, sorted_ids[1:]):
+            if a == b:
+                raise ConsistencyError(f"document id {a!r} appears more than once")
+        rank = {doc_id: r for r, doc_id in enumerate(sorted_ids)}
+        self._id_rank = np.asarray([rank[d.doc_id] for d in self.docs], dtype=np.int64)
+
         n = len(self.docs)
         vocab: dict[str, int] = {}
         term_ids: list[int] = []
@@ -101,10 +112,6 @@ class SearchIndex:
             self._fields[key] = (np.asarray(codes, dtype=np.int32), values)
         self._no_field = (np.zeros(n, dtype=np.int32), {None: 0})
 
-        # ranking tie-break: equal doc ids share a rank
-        rank = {doc_id: r for r, doc_id in enumerate(sorted({d.doc_id for d in self.docs}))}
-        self._id_rank = np.asarray([rank[d.doc_id] for d in self.docs], dtype=np.int64)
-
     def _allowed(self, filter_fields: dict) -> np.ndarray:
         """Mask of the docs whose fields equal every filter value."""
         mask = np.ones(len(self.docs), dtype=bool)
@@ -139,16 +146,8 @@ class SearchIndex:
             touched = touched[scores[touched] >= kth]
         if not touched.size:
             return []
-        score, rank = scores[touched], self._id_rank[touched]
-        keys = [rank, -score]
-        if np.unique(rank).size < rank.size:
-            # docs sharing an id and a score rank in the order the query first
-            # touched them; found only when ids repeat, as it scans every hit
-            in_touched = np.zeros(len(self.docs), dtype=bool)
-            in_touched[touched] = True
-            at = np.flatnonzero(in_touched[ids])
-            keys.insert(0, at[np.unique(ids[at], return_index=True)[1]])
-        order = np.lexsort(keys)[:limit]
+        score = scores[touched]
+        order = np.lexsort((self._id_rank[touched], -score))[:limit]
         top, raw = touched[order].tolist(), score[order].tolist()
         lo, hi = min(raw), max(raw)
         out = []
@@ -164,8 +163,8 @@ class SearchIndex:
 # ---------------------------------------------------------------------------
 # web search adapter
 
-WebAdapter = Callable[[str], list[tuple[str, str, float]]]
-# query -> [(doc_id, snippet, raw_score)]
+WebAdapter = Callable[[str], list[RankedResult]]
+# query -> ranked results with source "web", d normalized per query, unique ids
 
 
 class LocalWebAdapter:
@@ -178,41 +177,18 @@ class LocalWebAdapter:
             for p in pages
         ])
 
-    def __call__(self, query: str) -> list[tuple[str, str, float]]:
-        return [(r.doc_id, r.snippet, r.d) for r in self._index.search(query)]
+    def __call__(self, query: str) -> list[RankedResult]:
+        return [replace(r, source="web") for r in self._index.search(query)]
 
 
-def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedResult]:
-    """Invoke the adapter; dedupe ids keeping the max score; min-max normalize.
-
-    Adapter failure degrades to an empty list with a logged warning; a limit
-    below 1 asks for no results and does not call the adapter.
-    """
-    if limit < 1:
-        return []
+def web_search(adapter: WebAdapter, query: str) -> list[RankedResult]:
+    """The adapter's results; a failing adapter degrades to an empty list
+    with a logged warning."""
     try:
-        raw = adapter(query)
+        return adapter(query)
     except Exception as exc:  # degraded mode, never fatal
         log.warning("web adapter failed (%s); continuing corpus-only", exc)
         return []
-    best: dict[str, tuple[str, float]] = {}
-    order: list[str] = []
-    for doc_id, snippet, score in raw:
-        if doc_id not in best:
-            order.append(doc_id)
-            best[doc_id] = (snippet, score)
-        elif score > best[doc_id][1]:
-            best[doc_id] = (snippet, score)
-    if not best:
-        return []
-    ranked = sorted(order, key=lambda i: (-best[i][1], i))[:limit]
-    raw_scores = [best[i][1] for i in ranked]
-    lo, hi = min(raw_scores), max(raw_scores)
-    return [
-        RankedResult(i, best[i][0], "web",
-                     1.0 if hi == lo else (best[i][1] - lo) / (hi - lo))
-        for i in ranked
-    ]
 
 
 # ---------------------------------------------------------------------------

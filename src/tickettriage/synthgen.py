@@ -9,14 +9,14 @@ an oracle for the detection and OCR stages.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import font
+from .errors import ParameterError
 from .fixtures import phrase_bank
-from .imaging import ParameterError, Rect
+from .imaging import Rect, iou
 from .raster import Raster, to_grayscale
 
 THEMES = ("windows", "linux", "mac")
@@ -292,7 +292,6 @@ def random_scene(seed: int, n_windows: int, overlap: str = "light",
     rng = np.random.RandomState(seed)
     placed: list[Rect] = []
     windows = []
-    from .imaging import iou as rect_iou
     for i in range(n_windows):
         rect = None
         for attempt in range(300):
@@ -307,11 +306,11 @@ def random_scene(seed: int, n_windows: int, overlap: str = "light",
             elif overlap == "light":
                 # bounded IoU, and every earlier (lower-z) window keeps at
                 # least 65% of its area visible under the new one
-                ok = all(rect_iou(cand, p) <= cap
+                ok = all(iou(cand, p) <= cap
                          and cand.intersection_area(p) / p.area <= 0.35
                          for p in placed)
             else:
-                ok = all(rect_iou(cand, p) <= cap for p in placed)
+                ok = all(iou(cand, p) <= cap for p in placed)
             if ok:
                 rect = cand
                 break
@@ -359,10 +358,10 @@ def augment(img: Raster, op: str, value: float | None = None) -> Raster:
 
 
 # ---------------------------------------------------------------------------
-# serialization (line-delimited JSON, same record style as the ticket corpus)
+# serialization: the scene as the JSON-ready dict a ground-truth line embeds
 
-def scene_to_json(spec: SceneSpec) -> str:
-    return json.dumps({
+def scene_to_dict(spec: SceneSpec) -> dict:
+    return {
         "canvas_w": spec.canvas_w,
         "canvas_h": spec.canvas_h,
         "background": spec.background,
@@ -373,4 +372,4 @@ def scene_to_json(spec: SceneSpec) -> str:
              "body_lines": list(w.body_lines), "has_buttons": w.has_buttons}
             for w in spec.windows
         ],
-    }, sort_keys=True)
+    }

@@ -149,6 +149,14 @@ def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
     pages_path = os.path.join(corpus_dir, "webpages.jsonl")
     web_pages = load_web_pages(pages_path) if os.path.exists(pages_path) else []
 
+    # first, so a repeated ticket id fails before any classifier trains
+    index = SearchIndex([
+        IndexDoc(r.id, r.text + (" " + r.resolution if r.resolution else ""),
+                 {"resolver_group": r.resolver_group, **{sf: getattr(r, sf) for sf in SUBFIELDS}},
+                 category=r.category, resolution=r.resolution)
+        for r in corpus
+    ])
+
     freq_threshold = max(2, len(corpus) // 50)
     split = split_head_tail(corpus, freq_threshold, db)
 
@@ -172,14 +180,6 @@ def train_bundle(corpus_dir: str, seed: int = 0) -> ModelBundle:
         for i, sf in enumerate(SUBFIELDS)
     }
     models = TriageModels(vectorizer, resolver_pair, category_pair, subfield_models)
-
-    docs = [
-        IndexDoc(r.id, r.text + (" " + r.resolution if r.resolution else ""),
-                 {"resolver_group": r.resolver_group, **{sf: getattr(r, sf) for sf in SUBFIELDS}},
-                 category=r.category, resolution=r.resolution)
-        for r in corpus
-    ]
-    index = SearchIndex(docs)
 
     Xw, yw, Xcat, app_labels, os_labels = _window_training_set(seed)
     filter_model = train_filter_model(Xw, yw, seed)

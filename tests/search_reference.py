@@ -1,14 +1,16 @@
 """Federated search as first written: dict/tuple posting lists walked in
-Python, a CORI merge that rebuilds every result before truncating, and
-resource scores from per-term probability calls on three tokenized count
-models.
+Python, a web adapter whose (id, snippet, score) hits web_search dedupes,
+re-sorts and re-normalizes, a CORI merge that rebuilds every result before
+truncating, and resource scores from per-term probability calls on three
+tokenized count models.
 
 Kept verbatim as the reference the package code must match exactly; see test_search_oracle.py.
 """
 
+import logging
 import math
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from tickettriage.classify import tokenize
 from tickettriage.search import (
@@ -19,6 +21,8 @@ from tickettriage.search import (
     RankedResult,
     cori_score,
 )
+
+log = logging.getLogger(__name__)
 
 
 class SearchIndex:
@@ -75,6 +79,57 @@ class SearchIndex:
             out.append(RankedResult(doc.doc_id, snippet, "ticket_corpus", d,
                                     category=doc.category))
         return out
+
+
+WebAdapter = Callable[[str], list[tuple[str, str, float]]]
+# query -> [(doc_id, snippet, raw_score)]
+
+
+class LocalWebAdapter:
+    """Fixture-backed web search: BM25 over a local page corpus."""
+
+    def __init__(self, pages: Sequence[dict]):
+        # pages: {"id", "title", "body"}
+        self._index = SearchIndex([
+            IndexDoc(p["id"], f"{p['title']} {p['body']}", {}, resolution=p["body"])
+            for p in pages
+        ])
+
+    def __call__(self, query: str) -> list[tuple[str, str, float]]:
+        return [(r.doc_id, r.snippet, r.d) for r in self._index.search(query)]
+
+
+def web_search(adapter: WebAdapter, query: str, limit: int = 20) -> list[RankedResult]:
+    """Invoke the adapter; dedupe ids keeping the max score; min-max normalize.
+
+    Adapter failure degrades to an empty list with a logged warning; a limit
+    below 1 asks for no results and does not call the adapter.
+    """
+    if limit < 1:
+        return []
+    try:
+        raw = adapter(query)
+    except Exception as exc:  # degraded mode, never fatal
+        log.warning("web adapter failed (%s); continuing corpus-only", exc)
+        return []
+    best: dict[str, tuple[str, float]] = {}
+    order: list[str] = []
+    for doc_id, snippet, score in raw:
+        if doc_id not in best:
+            order.append(doc_id)
+            best[doc_id] = (snippet, score)
+        elif score > best[doc_id][1]:
+            best[doc_id] = (snippet, score)
+    if not best:
+        return []
+    ranked = sorted(order, key=lambda i: (-best[i][1], i))[:limit]
+    raw_scores = [best[i][1] for i in ranked]
+    lo, hi = min(raw_scores), max(raw_scores)
+    return [
+        RankedResult(i, best[i][0], "web",
+                     1.0 if hi == lo else (best[i][1] - lo) / (hi - lo))
+        for i in ranked
+    ]
 
 
 def cori_merge(results: Sequence[RankedResult], resource_scores: dict[str, float],

@@ -29,6 +29,15 @@ def test_invalid_coverage_is_a_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tickets", ["-1000", "nan", "inf"])
+def test_negative_or_non_finite_ticket_volume_is_a_usage_error(capsys, tickets):
+    rc = main(["savings", "--tickets-per-year", tickets,
+               "--assign-coverage", "0.9", "--resolve-coverage", "0.8"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tickets per year" in captured.err
+
+
 def test_bad_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sede = 7\n")
@@ -160,6 +169,39 @@ def test_malformed_web_page_file_is_a_runtime_failure(tmp_path, capsys, bad_line
     _train_fails_naming(tmp_path, capsys, corpus, f"{pages}:2")
 
 
+def test_repeated_web_page_id_is_a_runtime_failure(tmp_path, capsys):
+    corpus = _side_file_corpus(tmp_path)
+    pages = corpus / "webpages.jsonl"
+    pages.write_text('{"id": "kb-1", "title": "t", "body": "b"}\n'
+                     '{"id": "kb-1", "title": "u", "body": "c"}\n')
+    _train_fails_naming(tmp_path, capsys, corpus, f"{pages}:2: bad web page: repeated id 'kb-1'")
+
+
+def test_repeated_ticket_id_fails_before_any_classifier_trains(tmp_path, capsys,
+                                                                monkeypatch):
+    corpus = _side_file_corpus(tmp_path)
+    (corpus / "tickets.jsonl").write_text(
+        f"{_GOOD_TICKET}\n{json.dumps({**_TICKET, 'text': 'printer jam'})}\n")
+
+    def train_classifier(*args):
+        raise AssertionError("a classifier trained")
+    monkeypatch.setattr(training, "train_classifier", train_classifier)
+    _train_fails_naming(tmp_path, capsys, corpus, "'t1'")
+
+
+def test_bundle_whose_index_repeats_an_id_is_a_runtime_failure(tmp_path, capsys,
+                                                               bundle_path):
+    # the same-length swap keeps the pickle well formed; only the index check fails
+    data = open(bundle_path, "rb").read()
+    assert data.count(b"T3-00001") == 1 and data.count(b"T3-00000") == 1
+    path = tmp_path / "m.bin"
+    path.write_bytes(data.replace(b"T3-00001", b"T3-00000"))
+    assert main(["triage", "--bundle", str(path), "--text", "printer is broken"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("failed:") and "'T3-00000'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", '{"a": 1}', '"fix"', "{"])
 def test_malformed_resolutions_file_is_a_runtime_failure(tmp_path, capsys, content):
     corpus = _side_file_corpus(tmp_path)
@@ -272,6 +314,18 @@ def test_gen_command_writes_corpus(tmp_path, capsys):
     paths = json.loads(out.splitlines()[0])
     assert (tmp_path / "c" / "tickets.jsonl").exists()
     assert paths["tickets"].endswith("tickets.jsonl")
+
+
+@pytest.mark.parametrize("flag,value", [("--count", "-3"), ("--count", "0"),
+                                        ("--image-only-fraction", "7"),
+                                        ("--image-only-fraction", "-0.1"),
+                                        ("--image-only-fraction", "nan")])
+def test_gen_out_of_range_values_are_usage_errors_before_writing(tmp_path, capsys,
+                                                                flag, value):
+    out = tmp_path / "c"
+    assert main(["gen", "--out", str(out), flag, value]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _passed_on(monkeypatch, tmp_path, command, config_text=None):

@@ -1,7 +1,11 @@
 import json
+import math
 import os
 
+import pytest
+
 from tickettriage.corpusgen import generate_corpus
+from tickettriage.errors import ParameterError
 from tickettriage.fixtures import TAXONOMY
 from tickettriage.recommend import load_corpus
 
@@ -20,6 +24,19 @@ def test_generation_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     for scene in sorted(os.listdir(a / "scenes")):
         assert (a / "scenes" / scene).read_bytes() == (b / "scenes" / scene).read_bytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"count": 0}, {"count": -3},
+    {"image_only_fraction": 7.0}, {"image_only_fraction": -0.1},
+    {"image_only_fraction": math.nan},
+    {"redundant_image_fraction": 1.5}, {"redundant_image_fraction": math.nan},
+])
+def test_out_of_range_arguments_are_refused_before_writing(tmp_path, kwargs):
+    out = tmp_path / "c"
+    with pytest.raises(ParameterError, match=next(iter(kwargs))):
+        generate_corpus(str(out), **{"seed": 1, "count": 5, **kwargs})
+    assert not out.exists()
 
 
 def test_corpus_structure(corpus_dir):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -125,6 +126,12 @@ def test_savings_coverage_validation():
         savings(1000, 1.5, 0.5)
     with pytest.raises(ParameterError):
         savings(1000, 0.5, -0.1)
+
+
+@pytest.mark.parametrize("n", [-1000, -1e-9, math.nan, math.inf, -math.inf])
+def test_savings_ticket_volume_validation(n):
+    with pytest.raises(ParameterError, match="tickets per year"):
+        savings(n, 0.9, 0.8)
 
 
 # ---------------------------------------------------------------------------

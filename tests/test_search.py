@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tickettriage.classify import tokenize
+from tickettriage.errors import ConsistencyError
 from tickettriage.search import (
     BM25_B,
     BM25_K1,
@@ -113,34 +114,22 @@ def test_local_web_adapter_shows_each_hit_its_own_page():
              {"id": "kb2", "title": "printer", "body": "clear the tray"}]
     results = web_search(LocalWebAdapter(pages), "vpn timeout")
     assert results[0].doc_id == "kb1" and results[0].snippet.strip() == "vpn timeout"
-    # with a repeated id, the hit shows the body of the page that matched
+    # a repeated page id is refused when the adapter builds its index
     pages = [{"id": "kb1", "title": "vpn timeout", "body": "restart the client"},
              {"id": "kb1", "title": "printer", "body": "new body"}]
-    assert LocalWebAdapter(pages)("vpn timeout") == [("kb1", "restart the client", 1.0)]
+    with pytest.raises(ConsistencyError, match="'kb1'"):
+        LocalWebAdapter(pages)
+
+
+def test_web_search_returns_the_adapter_results_as_they_are():
+    results = [RankedResult("y", "b", "web", 1.0), RankedResult("x", "a", "web", 0.0)]
+    assert web_search(lambda query: results, "q") == results
 
 
 def test_web_search_degrades_on_adapter_failure():
     def broken(query):
         raise ConnectionError("socket closed")
     assert web_search(broken, "anything") == []
-
-
-@pytest.mark.parametrize("limit", [0, -1])
-def test_web_search_limit_below_one_returns_nothing(limit):
-    def adapter(query):
-        return [("x", "a", 1.0), ("y", "b", 2.0), ("z", "c", 3.0)]
-    assert len(web_search(adapter, "q")) == 3
-    assert web_search(adapter, "q", limit=limit) == []
-
-
-def test_web_search_dedupes_ids_keeping_best_score():
-    def adapter(query):
-        return [("x", "first", 1.0), ("x", "better", 3.0),
-                ("y", "other", 2.0)]
-    results = web_search(adapter, "q")
-    assert [r.doc_id for r in results] == ["x", "y"]
-    assert results[0].snippet == "better"
-    assert results[0].d == 1.0 and results[1].d == 0.0
 
 
 def test_resource_scores_identical_resources_are_neutral():

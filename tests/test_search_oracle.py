@@ -1,11 +1,12 @@
-"""Old-vs-new oracle for the array-backed BM25 index, the CORI merge and
-the table-backed resource scores.
+"""Old-vs-new oracle for the array-backed BM25 index, the web search, the
+CORI merge and the table-backed resource scores.
 
-search_reference.py holds the dict-based index, the merge and the resource
-pool the package started from. On the seeded 400-ticket corpus, with and
-without resolver and sub-field filters, and on hand-built and random edge
-cases, the package must return the same result lists (ids, d, snippets,
-categories and order) and the same resource scores, bit for bit.
+search_reference.py holds the dict-based index, the web adapter and
+web_search, the merge and the resource pool the package started from. On
+the seeded 400-ticket corpus, with and without resolver and sub-field
+filters, and on hand-built and random edge cases, the package must return
+the same result lists (ids, d, snippets, categories and order) and the same
+resource scores, bit for bit.
 """
 
 import os
@@ -13,10 +14,13 @@ import pickle
 import warnings
 
 import numpy as np
+import pytest
 
 import search_reference as ref
+from tickettriage.errors import ConsistencyError
 from tickettriage.recommend import SUBFIELDS, load_corpus
-from tickettriage.search import IndexDoc, RankedResult, ResourcePool, SearchIndex, cori_merge
+from tickettriage.search import (IndexDoc, LocalWebAdapter, RankedResult, ResourcePool,
+                                 SearchIndex, cori_merge, web_search)
 from tickettriage.training import enrich_text_only
 
 
@@ -97,22 +101,22 @@ def test_limit_below_hit_count_cuts_through_ties():
         assert len(got) == limit
 
 
-def test_duplicate_doc_ids_with_tied_scores_keep_first_touch_order():
-    # both "x" docs score the same; the query reaches the second one first
+def test_repeated_doc_ids_are_refused():
     docs = [IndexDoc("x", "printer jam", {}, resolution="first"),
-            IndexDoc("x", "vpn drop", {}, resolution="second"),
-            IndexDoc("w", "printer vpn", {}, resolution="third")]
-    got = _same_search(docs, "vpn drop printer jam")
-    assert [r.snippet for r in got[:2]] == ["second", "first"]
-    got = _same_search(docs, "printer jam vpn drop")
-    assert [r.snippet for r in got[:2]] == ["first", "second"]
+            IndexDoc("w", "printer vpn", {}, resolution="third"),
+            IndexDoc("x", "vpn drop", {}, resolution="second")]
+    with pytest.raises(ConsistencyError, match="'x'"):
+        SearchIndex(docs)
+    # unpickling rebuilds the index through the same check
+    with pytest.raises(ConsistencyError, match="'x'"):
+        SearchIndex.__new__(SearchIndex).__setstate__({"docs": docs})
 
 
 def test_random_small_indexes_match_reference():
     rng = np.random.RandomState(11)
     words = ["printer", "vpn", "jam", "error", "drop", "disk", "sync"]
     for case in range(300):
-        docs = [IndexDoc(f"d{rng.randint(4)}",  # few ids: duplicates are common
+        docs = [IndexDoc(f"d{i}",
                          " ".join(rng.choice(words, rng.randint(0, 5))),
                          {"g": str(rng.randint(2)), **({"h": "1"} if rng.rand() < 0.5 else {})},
                          resolution=f"r{i}")
@@ -120,6 +124,36 @@ def test_random_small_indexes_match_reference():
         query = " ".join(rng.choice(words, rng.randint(1, 6)))
         filter_fields = [None, {"g": "0"}, {"g": "1", "h": "1"}, {"h": None}][case % 4]
         _same_search(docs, query, filter_fields, limit=int(rng.randint(1, 8)))
+
+
+def test_web_search_matches_reference_on_seeded_corpus(bundle, corpus_dir):
+    records = load_corpus(os.path.join(corpus_dir, "tickets.jsonl"))
+    adapter = LocalWebAdapter(bundle.web_pages)
+    reference = ref.LocalWebAdapter(bundle.web_pages)
+    n_hits = 0
+    for r in records:
+        query = enrich_text_only(r.text)
+        want = ref.web_search(reference, query)
+        assert web_search(adapter, query) == want, r.id
+        n_hits += len(want)
+    assert n_hits > len(records)  # the queries do reach the pages
+
+
+def test_web_search_random_page_sets_match_reference():
+    rng = np.random.RandomState(17)
+    words = ["printer", "vpn", "jam", "error", "drop", "disk", "sync"]
+
+    def text(most):
+        return " ".join(rng.choice(words, rng.randint(0, most)))
+
+    for _ in range(300):
+        n = rng.randint(1, 30)  # above 20 pages, the limit cuts the results
+        pages = [{"id": f"p{j}", "title": text(4), "body": text(6)}
+                 for j in rng.permutation(n)]  # ids out of sort order
+        for _ in range(3):
+            query = text(6)
+            assert (web_search(LocalWebAdapter(pages), query)
+                    == ref.web_search(ref.LocalWebAdapter(pages), query)), (pages, query)
 
 
 def _same_merge(results, resource_scores, top_n):
